@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -28,81 +27,6 @@ func threeRegionTopo() Topology {
 			{80 * time.Millisecond, 0, 150 * time.Millisecond},
 			{250 * time.Millisecond, 150 * time.Millisecond, 0},
 		},
-	}
-}
-
-// TestGeoSingleRegionBitForBit is the ISSUE's regression guard: a
-// one-region Geo must reproduce the equivalent Cluster.Run with
-// Autoscale bit-for-bit — on the static fixed-fleet policy and on a
-// dynamic policy that actually scales — because the geo tier reuses the
-// same fleet controller underneath. The geo run additionally annotates
-// Origin/Region/RTT on each request; those are cleared before comparing.
-func TestGeoSingleRegionBitForBit(t *testing.T) {
-	cm := llamaCM(t)
-	for _, policy := range []string{"static", "queue-depth"} {
-		tr := routerTrace(7, 300)
-		tr.Stamp("", 1, workload.Deadline(2*time.Second, 100*time.Millisecond))
-
-		mkAC := func() *AutoscaleConfig {
-			scaler, err := NewAutoscaler(policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return &AutoscaleConfig{Scaler: scaler, Interval: 5 * time.Second, ColdStart: 10 * time.Second, Max: 8}
-		}
-
-		cl := DPCluster("fleet", gpu1Cfg(cm), 3)
-		cl.Lockstep = false
-		cl.Autoscale = mkAC()
-		want, err := cl.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		g := Geo{
-			Name:     "fleet",
-			Topology: SingleRegion("fleet"),
-			Regions:  []Region{{Configs: cl.Configs, Autoscale: mkAC()}},
-		}
-		got, err := g.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		pr := make([]RequestMetrics, len(got.PerRequest))
-		copy(pr, got.PerRequest)
-		for i := range pr {
-			if pr[i].Origin != "fleet" || pr[i].Region != "fleet" || pr[i].RTT != 0 {
-				t.Fatalf("%s: single-region annotation wrong: %+v", policy, pr[i])
-			}
-			pr[i].Origin, pr[i].Region = "", ""
-		}
-		if !reflect.DeepEqual(pr, want.PerRequest) {
-			t.Fatalf("%s: per-request metrics diverged from the autoscaled cluster run", policy)
-		}
-		if got.Makespan != want.Makespan || got.TotalTokens != want.TotalTokens ||
-			got.Rejected != want.Rejected || got.Iters != want.Iters ||
-			got.Preemptions != want.Preemptions || got.Cost != want.Cost {
-			t.Fatalf("%s: aggregates diverged:\n got %s\nwant %s", policy, got.Summary(), want.Summary())
-		}
-		if !reflect.DeepEqual(got.TTFT, want.TTFT) || !reflect.DeepEqual(got.Completion, want.Completion) {
-			t.Fatalf("%s: latency samples diverged", policy)
-		}
-		if got.ReplicaSeconds != want.ReplicaSeconds ||
-			got.ScaleUps != want.ScaleUps || got.ScaleDowns != want.ScaleDowns {
-			t.Fatalf("%s: fleet accounting diverged: %v/%d/%d vs %v/%d/%d", policy,
-				got.ReplicaSeconds, got.ScaleUps, got.ScaleDowns,
-				want.ReplicaSeconds, want.ScaleUps, want.ScaleDowns)
-		}
-		if !reflect.DeepEqual(got.Replicas, want.Replicas) {
-			t.Fatalf("%s: replica lifetimes diverged", policy)
-		}
-		if !reflect.DeepEqual(got.FleetSamples, want.FleetSamples) {
-			t.Fatalf("%s: fleet samples diverged", policy)
-		}
-		if len(got.RegionStats) != 1 || got.RegionStats[0].SpillIn != 0 || got.RegionStats[0].SpillOut != 0 {
-			t.Fatalf("%s: single region reported spill: %+v", policy, got.RegionStats)
-		}
 	}
 }
 
