@@ -67,11 +67,6 @@ type CloudConfig struct {
 	// OwnedSpend/TotalSpend accounting (0 leaves OwnedSpend at zero —
 	// the cloud side of the ledger still fills).
 	DollarsPerReplicaHour float64
-	// FailEvery injects deterministic transient cloud failures: every
-	// Nth dispatch attempt fails (after budget and before billing). On
-	// fault-injected cluster runs the failed request re-enters the retry
-	// backoff queue; elsewhere it falls back to local serving. 0 disables.
-	FailEvery int
 }
 
 func (c *CloudConfig) validate() error {
@@ -95,8 +90,6 @@ func (c *CloudConfig) validate() error {
 		return fmt.Errorf("serve: cloud budget %v negative", c.MaxSpend)
 	case c.DollarsPerReplicaHour < 0:
 		return fmt.Errorf("serve: replica-hour price %v negative", c.DollarsPerReplicaHour)
-	case c.FailEvery < 0:
-		return fmt.Errorf("serve: cloud fail-every %d negative", c.FailEvery)
 	}
 	return nil
 }
@@ -145,22 +138,6 @@ type CloudAwareGeoRouter interface {
 	RouteCloud(r workload.Request, origin int, regions []RegionView, cloud CloudView) bool
 }
 
-// cloudOutcome is the result of offering one request to the tier.
-type cloudOutcome int
-
-const (
-	// cloudAccepted: the cloud serves the request; its metrics are
-	// recorded and the spend charged. The request must not be routed
-	// locally.
-	cloudAccepted cloudOutcome = iota
-	// cloudRefused: a permanent refusal (budget exhausted). The caller
-	// keeps the request on its normal local path.
-	cloudRefused
-	// cloudFailed: an injected transient failure. Fault-injected paths
-	// re-enter the retry backoff queue; others fall back to local.
-	cloudFailed
-)
-
 // cloudTier is the per-run state of a CloudConfig: the token bucket,
 // the in-flight window, the ledger, and the synthetic metrics of the
 // requests it served. All mutation happens on serial paths (arrival
@@ -186,7 +163,10 @@ type cloudTier struct {
 	requests     int
 	tokensServed int
 	throttled    int
-	attempts     int
+	// sampled is the CloudRequests cursor of the controller-tick samples,
+	// shared by every fleet the tier serves so each dispatch is sampled
+	// once.
+	sampled int
 
 	served []RequestMetrics
 
@@ -280,25 +260,21 @@ func (ct *cloudTier) admitDelay(now time.Duration, need float64) time.Duration {
 
 // offer dispatches one request to the cloud at now. policy labels the
 // deciding mechanism in the obs event ("overflow", "shed-or-buy",
-// "geo-overflow"). On cloudAccepted the request is fully served: its
-// synthetic metrics (TTFT/Completion measured from the original
-// submission, Replica == CloudReplica) are recorded and the price
-// charged. Serial paths only; nil-safe (a nil tier refuses).
-func (ct *cloudTier) offer(r workload.Request, now time.Duration, policy string) cloudOutcome {
+// "geo-overflow"). An accepted request is fully served: its synthetic
+// metrics (TTFT/Completion measured from the original submission,
+// Replica == CloudReplica) are recorded and the price charged, and the
+// caller must not route it locally. A refusal (budget exhausted) keeps
+// the request on its normal local path. Serial paths only; nil-safe (a
+// nil tier refuses).
+func (ct *cloudTier) offer(r workload.Request, now time.Duration, policy string) (accepted bool) {
 	if ct == nil {
-		return cloudRefused
+		return false
 	}
 	price := ct.cfg.PricePerMToken * float64(r.TotalTokens()) / 1e6
 	if ct.cfg.MaxSpend > 0 && ct.spend+price > ct.cfg.MaxSpend {
 		ct.throttled++
 		ct.bal.Event(now, obs.EvCloudThrottle, r.ID, "budget")
-		return cloudRefused
-	}
-	ct.attempts++
-	if fe := ct.cfg.FailEvery; fe > 0 && ct.attempts%fe == 0 {
-		ct.throttled++
-		ct.bal.Event(now, obs.EvCloudThrottle, r.ID, "fail")
-		return cloudFailed
+		return false
 	}
 	wait := ct.admitDelay(now, float64(r.TotalTokens()))
 	if wait > 0 {
@@ -332,7 +308,7 @@ func (ct *cloudTier) offer(r workload.Request, now time.Duration, policy string)
 	}
 	ct.served = append(ct.served, m)
 	ct.bal.Event(now, obs.EvCloudRoute, r.ID, policy)
-	return cloudAccepted
+	return true
 }
 
 // metricsList returns the synthetic metrics of cloud-served requests,
@@ -454,9 +430,9 @@ type cloudShedEntry struct {
 // drainCloudShed collects every engine's staged shed-or-buy waiters,
 // orders them globally by (shed time, request ID) — a total order
 // independent of engine stepping interleave — and offers each to the
-// cloud. Refusals (budget) and transient failures shed normally via
-// refuseCloudShed; accepted buys invoke onBuy (e.g. controller live-load
-// bookkeeping). Serial paths only.
+// cloud. Refusals (budget) shed normally via refuseCloudShed; accepted
+// buys invoke onBuy (e.g. controller live-load bookkeeping). Serial
+// paths only.
 func drainCloudShed(engines []*Engine, ct *cloudTier, onBuy func(e *Engine, s *seq)) {
 	if ct == nil {
 		return
@@ -481,7 +457,7 @@ func drainCloudShed(engines []*Engine, ct *cloudTier, onBuy func(e *Engine, s *s
 		return all[i].s.req.ID < all[j].s.req.ID
 	})
 	for _, en := range all {
-		if ct.offer(en.s.req, en.at, "shed-or-buy") == cloudAccepted {
+		if ct.offer(en.s.req, en.at, "shed-or-buy") {
 			if onBuy != nil {
 				onBuy(en.e, en.s)
 			}

@@ -18,7 +18,6 @@ func TestCloudConfigValidate(t *testing.T) {
 		{Burst: -1},
 		{MaxSpend: -1},
 		{DollarsPerReplicaHour: -1},
-		{FailEvery: -1},
 	}
 	for i := range bad {
 		if err := bad[i].validate(); err == nil {
@@ -79,16 +78,15 @@ func TestCloudTierConcurrencyCap(t *testing.T) {
 	}
 }
 
-// Budget refusals are permanent and FailEvery failures transient; both
-// count as throttles and neither bills.
-func TestCloudTierBudgetAndFailEvery(t *testing.T) {
+// Budget refusals count as throttles and do not bill.
+func TestCloudTierBudget(t *testing.T) {
 	ct := newCloudTier(&CloudConfig{PricePerMToken: 1e6, MaxSpend: 1.5}) // $1 per token
 	r := workload.Request{InputTokens: 1, OutputTokens: 0}
-	if got := ct.offer(r, 0, "overflow"); got != cloudAccepted {
-		t.Fatalf("first offer %v, want accepted", got)
+	if !ct.offer(r, 0, "overflow") {
+		t.Fatal("first offer refused, want accepted")
 	}
-	if got := ct.offer(r, 0, "overflow"); got != cloudRefused {
-		t.Fatalf("over-budget offer %v, want refused", got)
+	if ct.offer(r, 0, "overflow") {
+		t.Fatal("over-budget offer accepted, want refused")
 	}
 	if ct.spend != 1 || ct.requests != 1 || ct.throttled != 1 {
 		t.Fatalf("ledger spend=%v requests=%d throttled=%d after refusal", ct.spend, ct.requests, ct.throttled)
@@ -96,20 +94,9 @@ func TestCloudTierBudgetAndFailEvery(t *testing.T) {
 	if !ct.view(0).BudgetExhausted {
 		// $1 remaining budget but the next $1 dispatch would exceed: view
 		// only reports full exhaustion; offer still refuses.
-		if got := ct.offer(r, 0, "overflow"); got != cloudRefused {
-			t.Fatalf("offer past budget %v, want refused", got)
+		if ct.offer(r, 0, "overflow") {
+			t.Fatal("offer past budget accepted, want refused")
 		}
-	}
-
-	fe := newCloudTier(&CloudConfig{FailEvery: 2})
-	if got := fe.offer(r, 0, "overflow"); got != cloudAccepted {
-		t.Fatalf("attempt 1 %v, want accepted", got)
-	}
-	if got := fe.offer(r, 0, "overflow"); got != cloudFailed {
-		t.Fatalf("attempt 2 %v, want failed", got)
-	}
-	if fe.requests != 1 || fe.throttled != 1 {
-		t.Fatalf("ledger requests=%d throttled=%d after transient failure", fe.requests, fe.throttled)
 	}
 }
 
@@ -327,9 +314,8 @@ func TestCloudClusterParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// The hardest cluster path: autoscaling, crashes, breakers, injected
-// transient cloud failures (which re-enter the retry backoff queue),
-// and shed-or-buy, all byte-identical at every worker count.
+// The hardest cluster path: autoscaling, crashes, breakers, a cloud
+// budget, and shed-or-buy, all byte-identical at every worker count.
 func TestCloudAutoscaleParallelMatchesSerial(t *testing.T) {
 	cm := llamaCM(t)
 	tr := determinismTrace(t, 43)
@@ -356,7 +342,6 @@ func TestCloudAutoscaleParallelMatchesSerial(t *testing.T) {
 		cl.Faults = plan
 		cl.Breakers = &BreakerConfig{FailThreshold: 3, OpenFor: 4 * time.Second}
 		cloud := cloudCfg()
-		cloud.FailEvery = 7
 		cloud.MaxSpend = 2
 		cl.Cloud = cloud
 		return cl.Run(tr)

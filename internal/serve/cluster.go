@@ -38,13 +38,17 @@ type Cluster struct {
 	// Autoscale, when set, grows and shrinks the replica fleet at run
 	// time instead of serving the whole trace on the initial Configs;
 	// see AutoscaleConfig. Requires Lockstep=false.
+	//
+	// A Cluster with Autoscale, Faults, Health, or Breakers set is a
+	// controlled fleet: Run serves it as a one-region Geo named after
+	// the cluster (under the static policy when Autoscale is nil).
 	Autoscale *AutoscaleConfig
 	// Faults, when set, injects the plan's replica crashes, outages, and
 	// degrade windows into the run: crashed work re-enqueues at the
-	// router with a retry count, and the health tier (Health, or its
-	// defaults) governs ejection and readmission. Requires
-	// Lockstep=false; runs on the autoscale controller (under the static
-	// policy when Autoscale is nil).
+	// balancer with a retry count, and the health tier (Health, or its
+	// defaults) governs ejection and readmission. Plan entries name the
+	// cluster or no region at all; any other region is an error.
+	// Requires Lockstep=false.
 	Faults *workload.FaultPlan
 	// Health, when set, enables the router's health-check tier even
 	// without a fault plan; see HealthConfig.
@@ -53,20 +57,17 @@ type Cluster struct {
 	// (closed → open → half-open) fed by admission sheds, completions,
 	// and crashes; breaker-aware routers steer traffic around open
 	// replicas. Composes with — does not replace — the Health tier.
-	// Requires Lockstep=false; runs on the autoscale controller (under
-	// the static policy when Autoscale is nil).
+	// Requires Lockstep=false.
 	Breakers *BreakerConfig
 	// SharedCache, when set, answers repeated prompts (requests sharing
 	// a PromptKey) at the balancer after the configured latency, before
-	// any engine sees them; see SharedCacheConfig. Works on both the
-	// plain and the autoscaled/fault paths.
+	// any engine sees them; see SharedCacheConfig.
 	SharedCache *SharedCacheConfig
 	// Cloud, when set, attaches the elastic pay-per-token backend (see
 	// CloudConfig): cloud-aware routers can overflow to it, the
 	// shed-or-buy admission policy offers doomed waiters to it, and the
 	// Result carries the owned-vs-rented dollar ledger. nil keeps every
-	// legacy path byte-identical. Works on both the plain and the
-	// autoscaled/fault paths.
+	// legacy path byte-identical.
 	Cloud *CloudConfig
 	// Parallelism bounds the worker pool that steps independent
 	// (non-lockstep) replicas concurrently: 0 uses GOMAXPROCS, 1 forces
@@ -107,13 +108,40 @@ func SingleEngine(name string, cfg Config) Cluster {
 // share on its own clock; with Lockstep=true the already-routed shares
 // are replayed on a shared clock where every global iteration lasts as
 // long as the slowest replica's step (vLLM DP engine semantics) — the
-// assignment itself is byte-identical in both modes. With Autoscale set
-// the fleet additionally grows and shrinks at evaluation intervals (see
-// runAutoscaled); the static policy reproduces this fixed-fleet path
-// bit-for-bit.
+// assignment itself is byte-identical in both modes. A controlled fleet
+// (Autoscale, Faults, Health, or Breakers set) runs on the controller
+// loop of a one-region Geo instead; its static policy reproduces this
+// fixed-fleet path bit-for-bit.
 func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 	if c.Autoscale != nil || c.Faults != nil || c.Health != nil || c.Breakers != nil {
-		return c.runAutoscaled(t)
+		if c.Lockstep {
+			// Even a one-replica lockstep cluster must error: scaling it up
+			// would silently drop the DP lockstep semantics the caller asked
+			// for (spawned replicas run on independent clocks).
+			return nil, fmt.Errorf("serve: autoscaling and fault injection require independent replicas (Lockstep=false)")
+		}
+		res, err := Geo{
+			Name:         c.Name,
+			Topology:     SingleRegion(c.Name),
+			Regions:      []Region{{Configs: c.Configs, Autoscale: c.Autoscale, Router: c.Router}},
+			Faults:       c.Faults,
+			Health:       c.Health,
+			Breakers:     c.Breakers,
+			SharedCache:  c.SharedCache,
+			Cloud:        c.Cloud,
+			RecordEvents: c.RecordEvents,
+			Obs:          c.Obs,
+			Parallelism:  c.Parallelism,
+		}.Run(t)
+		if err != nil {
+			return nil, err
+		}
+		// A cluster is not a geo deployment: drop the region annotations.
+		res.RegionStats = nil
+		for i := range res.PerRequest {
+			res.PerRequest[i].Region = ""
+		}
+		return res, nil
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -187,9 +215,8 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 // intercepts repeated prompts before they reach the router — shared-hit
 // requests are answered at the balancer and appear in no share. A
 // non-nil cloud tier is consulted next when the router is cloud-aware:
-// requests the cloud accepts appear in no share either (a refused or
-// transiently failed dispatch falls through to local routing — the
-// plain path has no retry queue).
+// requests the cloud accepts appear in no share either (a refused
+// dispatch falls through to local routing).
 func routeTrace(router Router, t *workload.Trace, cfgs []Config, engines []*Engine, shared *sharedTier, cloud *cloudTier, bal *obs.Stream) ([][]workload.Request, error) {
 	if router == nil {
 		router = NewLeastOutstandingRouter()
@@ -214,7 +241,7 @@ func routeTrace(router Router, t *workload.Trace, cfgs []Config, engines []*Engi
 			continue
 		}
 		if cloud != nil && cloudAware && ca.RouteCloud(r, views, cloud.view(r.Arrival)) {
-			if cloud.offer(r, r.Arrival, "overflow") == cloudAccepted {
+			if cloud.offer(r, r.Arrival, "overflow") {
 				continue
 			}
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -162,5 +163,38 @@ func TestBurstBeyondMaxSeqs(t *testing.T) {
 		if m.Rejected {
 			t.Fatal("rejected under MaxSeqs pressure")
 		}
+	}
+}
+
+// A Cluster fault plan entry naming a region the cluster is not fails
+// the run loudly instead of being ignored; entries naming the cluster
+// itself (or no region) apply.
+func TestClusterFaultForeignRegion(t *testing.T) {
+	cm := llamaCM(t)
+	tr := routerTrace(5, 40)
+	for _, f := range []struct {
+		name string
+		plan *workload.FaultPlan
+	}{
+		{"crash", &workload.FaultPlan{Crashes: []workload.ReplicaCrash{{Region: "eu-west", Replica: 0, At: time.Second}}}},
+		{"outage", &workload.FaultPlan{Outages: []workload.RegionOutage{{Region: "eu-west", Start: time.Second, End: 2 * time.Second}}}},
+		{"degrade", &workload.FaultPlan{Degrades: []workload.Degrade{{Region: "eu-west", Replica: 0, Start: 0, End: time.Second, Slowdown: 2}}}},
+	} {
+		cl := DPCluster("fleet", gpu1Cfg(cm), 2)
+		cl.Lockstep = false
+		cl.Faults = f.plan
+		if _, err := cl.Run(tr); err == nil || !strings.Contains(err.Error(), "not in topology") {
+			t.Fatalf("%s in a foreign region: err = %v, want a not-in-topology error", f.name, err)
+		}
+	}
+	cl := DPCluster("fleet", gpu1Cfg(cm), 2)
+	cl.Lockstep = false
+	cl.Faults = &workload.FaultPlan{Crashes: []workload.ReplicaCrash{{Region: "fleet", Replica: 0, At: time.Second}}}
+	res, err := cl.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReplicaCrashes != 1 {
+		t.Fatalf("crash naming the cluster: %d crashes, want 1", res.ReplicaCrashes)
 	}
 }

@@ -16,9 +16,10 @@ import (
 // each arriving request is first placed on a region by a GeoRouter, then
 // on a replica by that region's local Router, and finally pays the
 // origin→region round trip on top of its TTFT and completion when it was
-// served remotely. A single-region Geo with the static autoscaler
-// reproduces Cluster.Run with Autoscale bit-for-bit (regression-tested),
-// so the tier is a strict superset of the single-fleet path.
+// served remotely. A one-region topology has no geo tier at all — no geo
+// balancer, geo router, or region breaker — which is exactly the
+// controlled Cluster: Cluster.Run serves autoscaled, faulted, and
+// breaker-guarded fleets as one-region Geos.
 
 // Topology is the named-region set and its inter-region RTT matrix.
 // RTT[i][j] is the full round trip a request arriving in region i pays
@@ -30,7 +31,7 @@ type Topology struct {
 }
 
 // SingleRegion returns the one-region topology (no remote option): the
-// geo tier degenerates to the plain autoscaled-cluster path.
+// geo tier degenerates to the controlled-cluster path.
 func SingleRegion(name string) Topology {
 	return Topology{Regions: []string{name}, RTT: [][]time.Duration{{0}}}
 }
@@ -430,11 +431,11 @@ type Geo struct {
 	SharedCache *SharedCacheConfig
 	// Cloud, when set, attaches one elastic pay-per-token backend shared
 	// by every region (see CloudConfig): cloud-aware geo routers
-	// (spill-over) can buy overflow instead of spilling, the shed-or-buy
-	// admission policy offers doomed waiters to it, and cloud-served
-	// requests bill to their origin region with no RTT. Transient cloud
-	// failures fall back to regional routing (the geo retry queue serves
-	// crash recovery only). nil keeps every legacy path byte-identical.
+	// (spill-over) can buy overflow instead of spilling, cloud-aware
+	// region routers can overflow to it, the shed-or-buy admission
+	// policy offers doomed waiters to it, and cloud-served requests bill
+	// to their origin region with no RTT. nil keeps every legacy path
+	// byte-identical.
 	Cloud *CloudConfig
 	// RecordEvents enables per-iteration event capture on every engine.
 	//
@@ -446,7 +447,9 @@ type Geo struct {
 	// controller time series for the run (see internal/obs). Tracks:
 	// one process per region (replicas plus the regional balancer) and
 	// a "geo" process holding the geo balancer's routing, refugee-hop,
-	// and drop events. nil keeps the run on the untraced fast path.
+	// and drop events. A one-region run has no geo tier: its balancer
+	// and replicas share the unnamed process, as a Cluster's do. nil
+	// keeps the run on the untraced fast path.
 	Obs *obs.Observer
 	// Parallelism bounds the worker pools that advance regions (and,
 	// within each region, replicas) concurrently between controller
@@ -657,10 +660,12 @@ func (gf *geoFaults) next() (time.Duration, int, bool) {
 }
 
 // reap drops the geo pending queue when no region can ever serve it:
-// zero routable replicas everywhere and no recovery in sight. Runs in
-// the drain loop, where an undroppable queue would otherwise spin the
-// probe clock forever.
-func (gf *geoFaults) reap(runs []*regionRun) {
+// zero routable replicas everywhere, no recovery in sight, and — since
+// it runs right after an autoscaler evaluation — the policy just
+// declined to spawn. Without it a dead deployment would spin the drain
+// loop forever; with it every request still reaches a terminal,
+// conservation-checked outcome.
+func (gf *geoFaults) reap(runs []*regionRun, now time.Duration) {
 	if len(gf.pending) == 0 {
 		return
 	}
@@ -671,9 +676,7 @@ func (gf *geoFaults) reap(runs []*regionRun) {
 	}
 	for _, r := range gf.pending {
 		gf.dropped = append(gf.dropped, crashDroppedMetrics(r, ""))
-		// Stamped at the request's last (re-)submission time — the
-		// moment it entered the pending queue it never left.
-		gf.bal.Event(r.Arrival, obs.EvDrop, r.ID, "stranded")
+		gf.bal.Event(now, obs.EvDrop, r.ID, "stranded")
 	}
 	gf.pending = nil
 }
@@ -681,13 +684,13 @@ func (gf *geoFaults) reap(runs []*regionRun) {
 // Run replays the trace through the geo tier. Each request is placed on
 // a region by the geo router (seeing live per-region fleet and backlog
 // state plus the origin's RTT row), then on a replica by that region's
-// local router under exactly the autoscaled-cluster semantics of
-// Cluster.Run — per-region fleets grow and shrink on their own local
+// local router — per-region fleets grow and shrink on their own local
 // signals and evaluation clocks. Remotely served requests pay the full
 // origin→region RTT on top of their TTFT and completion (inter-token
 // streaming pipelines over the WAN, so TPOT is untouched); attainment
 // and the Result samples are computed from the inflated values. A
-// one-region Geo reproduces the equivalent Cluster.Run bit-for-bit.
+// one-region Geo has no geo tier: requests go straight to the region's
+// local router and keep their Origin as stamped.
 func (g Geo) Run(t *workload.Trace) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -715,14 +718,20 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 	if err := g.Cloud.validate(); err != nil {
 		return nil, err
 	}
+	single := len(g.Regions) == 1
 	shared := newSharedTier(g.SharedCache)
 	// Track registration order: the geo balancer first, then the cloud
 	// tier (if attached), then each region's balancer and replicas in
 	// topology order (all serial, so exports are worker-count
-	// independent).
-	geoBal := g.Obs.Stream("geo", "geo-balancer")
+	// independent). With one region the geo balancer is the region's
+	// balancer.
+	proc, track := "geo", "geo-balancer"
+	if single {
+		proc, track = "", "balancer"
+	}
+	geoBal := g.Obs.Stream(proc, track)
 	cloud := newCloudTier(g.Cloud)
-	cloud.observe(g.Obs, "geo")
+	cloud.observe(g.Obs, proc)
 
 	// Fault wiring: resolve the plan's region scopes (empty names the
 	// home region, topology index 0) and build the cross-region crash
@@ -816,12 +825,13 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 		fleet := &fleetState{
 			ac: ac, name: name, recordEvents: g.RecordEvents,
 			workers: conc.Workers(g.Parallelism), breakers: g.Breakers,
-			// The tier itself lives at the geo level (shared across
-			// regions, drained serially by the geo loop); buyStage makes
-			// spawned engines stage shed-or-buy waiters for it.
-			buyStage: cloud != nil,
+			cloud: cloud,
 		}
-		fleet.observe(g.Obs, name, "balancer")
+		if single {
+			fleet.observe(g.Obs, proc, geoBal)
+		} else {
+			fleet.observe(g.Obs, name, g.Obs.Stream(name, "balancer"))
+		}
 		if faultsOn {
 			fleet.faultsOn = true
 			fleet.health = hc
@@ -844,7 +854,7 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 			}
 		}
 		runs[i] = &regionRun{name: name, fleet: fleet, router: local, ac: ac, nextEval: ac.Interval}
-		if g.Breakers != nil {
+		if g.Breakers != nil && !single {
 			runs[i].breaker = newBreaker(*g.Breakers)
 		}
 	}
@@ -890,9 +900,19 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 
 	// place routes one request through the geo tier at now: regional
 	// views (with the origin's RTT row), the geo router, then the chosen
-	// region's local router. During a full multi-region outage the
-	// request parks at the geo balancer instead.
+	// region's local router. During a full outage the request parks at
+	// the geo balancer instead. Without a geo tier the request goes
+	// straight to the one region.
 	place := func(r workload.Request, now time.Duration) error {
+		if single {
+			f := runs[0].fleet
+			f.promote(now)
+			if gf != nil && f.routableCount() == 0 {
+				gf.pending = append(gf.pending, r)
+				return nil
+			}
+			return f.route(runs[0].router, r, now)
+		}
 		origin, err := originOfName(g.Topology, r.Origin)
 		if err != nil {
 			return err
@@ -915,12 +935,10 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 		}
 		if cloud != nil {
 			if ca, ok := router.(CloudAwareGeoRouter); ok && ca.RouteCloud(r, origin, views, cloud.view(now)) {
-				if cloud.offer(r, now, "geo-overflow") == cloudAccepted {
+				if cloud.offer(r, now, "geo-overflow") {
 					return nil
 				}
-				// Refused or transiently failed: fall through to regional
-				// placement (the geo retry queue serves crash recovery
-				// only).
+				// Refused: fall through to regional placement.
 			}
 		}
 		gi := router.Route(r, origin, views)
@@ -961,17 +979,39 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 		return nil
 	}
 
+	// parked reports work held at the geo balancer: requests with
+	// nowhere routable to land, or backed-off retries not yet released.
+	// A region is idle once its engines are done and nothing is parked
+	// that it might still have to take; the run is finished when every
+	// region is idle.
+	parked := func() bool {
+		return gf != nil && (len(gf.pending) > 0 || gf.retry.pending() > 0)
+	}
+	idle := func(rr *regionRun) bool { return rr.fleet.allDone() && !parked() }
+	finished := func() bool {
+		for _, rr := range runs {
+			if !idle(rr) {
+				return false
+			}
+		}
+		return true
+	}
+
 	// fireFault applies the next crash or one probe sweep at now: every
 	// region first advances to the event time (crash semantics act on
 	// current state, and dislodged work may re-route anywhere), then the
 	// lost work re-submits through the geo router within its retry
-	// budget.
+	// budget. A drain-phase event that finds the run finished has
+	// nothing left to act on.
 	fireFault := func(now time.Duration, kind int, final bool) error {
 		conc.For(len(runs), workers, func(i int) {
 			runs[i].accrue(now)
 			runs[i].fleet.advance(now, final)
 		})
 		drainBuys()
+		if final && finished() {
+			return nil
+		}
 		var lost []workload.Request
 		switch kind {
 		case evCrash:
@@ -1028,11 +1068,12 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 	// horizon. Per-region evaluations break time ties by region index;
 	// fault events (crash, then probe) outrank evaluations at equal
 	// times — failure, then detection, then reaction — so runs are
-	// reproducible.
+	// reproducible. Each evaluation sees the parked work as backlog and
+	// is followed by the stranded-work reap.
 	tick := func(horizon time.Duration, final bool) (bool, error) {
 		ri := -1
 		for i, rr := range runs {
-			if final && rr.fleet.allDone() {
+			if final && idle(rr) {
 				continue
 			}
 			if rr.nextEval <= horizon && (ri < 0 || rr.nextEval < runs[ri].nextEval) {
@@ -1055,9 +1096,16 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 		rr.accrue(at)
 		rr.fleet.advance(at, final)
 		drainBuys()
-		if !final || !rr.fleet.allDone() {
-			if err := rr.fleet.evaluate(at); err != nil {
+		if !final || !idle(rr) {
+			var backlog []workload.Request
+			if gf != nil {
+				backlog = gf.pending
+			}
+			if err := rr.fleet.evaluate(at, backlog); err != nil {
 				return false, err
+			}
+			if gf != nil {
+				gf.reap(runs, at)
 			}
 		}
 		rr.nextEval += rr.ac.Interval
@@ -1104,26 +1152,14 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 	}
 
 	// Drain: no further arrivals anywhere; regions keep evaluating on
-	// their own clocks so policies can shed idle replicas.
+	// their own clocks so policies can shed idle replicas, and all of
+	// them keep evaluating while work is parked so a policy can spawn the
+	// capacity that saves it. Scale-ups are otherwise suppressed in this
+	// phase (see fleetState.draining).
 	for _, rr := range runs {
 		rr.fleet.draining = true
 	}
-	for {
-		if gf != nil {
-			gf.reap(runs)
-		}
-		done := gf == nil || (len(gf.pending) == 0 && gf.retry.pending() == 0)
-		if done {
-			for _, rr := range runs {
-				if !rr.fleet.allDone() {
-					done = false
-					break
-				}
-			}
-		}
-		if done {
-			break
-		}
+	for !finished() {
 		if _, err := tick(noHorizon, true); err != nil {
 			return nil, err
 		}
@@ -1150,58 +1186,27 @@ func (g Geo) buildGeoResult(runs []*regionRun, gf *geoFaults, shared *sharedTier
 		for _, rep := range rr.fleet.replicas {
 			ms := rep.engine.metrics(nil)
 			for k := range ms {
-				origin, err := originOfName(g.Topology, ms[k].Origin)
-				if err != nil {
+				if err := g.annotate(&ms[k], gi); err != nil {
 					return nil, err
-				}
-				rtt := g.Topology.RTT[origin][gi]
-				ms[k].Origin = g.Topology.Regions[origin]
-				ms[k].Region = rr.name
-				ms[k].RTT = rtt
-				if !ms[k].Rejected {
-					ms[k].TTFT += rtt
-					ms[k].Completion += rtt
 				}
 			}
 			metrics = append(metrics, ms...)
 			engines = append(engines, rep.engine)
 		}
 	}
+	// Crash-dropped requests never landed anywhere, and shared-tier hits
+	// and cloud-served requests left the geo tier at the origin region's
+	// balancer: no engine and no RTT, billed to their origin.
+	var atOrigin []RequestMetrics
 	if gf != nil {
-		// Crash-dropped requests never landed anywhere: bill them to
-		// their origin region (no RTT, they were rejected at the
-		// balancer).
-		for _, m := range gf.dropped {
-			origin, err := originOfName(g.Topology, m.Origin)
-			if err != nil {
-				return nil, err
-			}
-			m.Origin = g.Topology.Regions[origin]
-			m.Region = m.Origin
-			metrics = append(metrics, m)
-		}
+		atOrigin = append(atOrigin, gf.dropped...)
 	}
-	// Shared-tier hits were answered at the origin region's balancer: no
-	// engine, no RTT; RegionStats bills them as served in their origin.
-	for _, m := range shared.metricsList() {
-		origin, err := originOfName(g.Topology, m.Origin)
-		if err != nil {
+	atOrigin = append(atOrigin, shared.metricsList()...)
+	atOrigin = append(atOrigin, cloud.metricsList()...)
+	for _, m := range atOrigin {
+		if err := g.annotate(&m, -1); err != nil {
 			return nil, err
 		}
-		m.Origin = g.Topology.Regions[origin]
-		m.Region = m.Origin
-		metrics = append(metrics, m)
-	}
-	// Cloud-served requests left the geo tier at the origin region's
-	// balancer: like shared-tier hits, no engine and no RTT, billed to
-	// their origin.
-	for _, m := range cloud.metricsList() {
-		origin, err := originOfName(g.Topology, m.Origin)
-		if err != nil {
-			return nil, err
-		}
-		m.Origin = g.Topology.Regions[origin]
-		m.Region = m.Origin
 		metrics = append(metrics, m)
 	}
 	res := buildResult(g.Name, metrics, engines)
@@ -1241,7 +1246,7 @@ func (g Geo) buildGeoResult(runs []*regionRun, gf *geoFaults, shared *sharedTier
 		}
 	}
 	for _, m := range res.PerRequest {
-		o := g.Topology.Index(m.Origin)
+		o, _ := originOfName(g.Topology, m.Origin) // resolved by annotate
 		s := g.Topology.Index(m.Region)
 		res.RegionStats[o].OriginRequests++
 		st := &res.RegionStats[s]
@@ -1281,8 +1286,33 @@ func (g Geo) buildGeoResult(runs []*regionRun, gf *geoFaults, shared *sharedTier
 	return res, nil
 }
 
+// annotate stamps a result row with its serving region (served < 0:
+// its origin) and charges a served row the round trip from its origin.
+// Without a geo tier (one region) the Origin stays as stamped.
+func (g Geo) annotate(m *RequestMetrics, served int) error {
+	origin, err := originOfName(g.Topology, m.Origin)
+	if err != nil {
+		return err
+	}
+	if served < 0 {
+		served = origin
+	}
+	if len(g.Topology.Regions) > 1 {
+		m.Origin = g.Topology.Regions[origin]
+	}
+	m.Region = g.Topology.Regions[served]
+	m.RTT = g.Topology.RTT[origin][served]
+	if !m.Rejected {
+		m.TTFT += m.RTT
+		m.Completion += m.RTT
+	}
+	return nil
+}
+
+// originOfName resolves a request's origin region: empty names the
+// first (home) region, and a one-region topology serves every origin.
 func originOfName(t Topology, name string) (int, error) {
-	if name == "" {
+	if name == "" || len(t.Regions) == 1 {
 		return 0, nil
 	}
 	if i := t.Index(name); i >= 0 {

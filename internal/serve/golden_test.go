@@ -38,11 +38,10 @@ func goldenFleet(cm *perf.CostModel, name string, cfg Config, n int, policy stri
 	return cl
 }
 
-// goldenCells pins every controlled-Cluster feature on the recorded
-// outputs of the dedicated autoscale/fault controller it used to run
-// on: per-request metrics, makespan, fleet accounting and samples,
-// scale, fault, breaker and cloud counters, and (for traced cells) the
-// Chrome trace and series exports.
+// goldenCells pins every controlled-Cluster feature by digest:
+// per-request metrics, makespan, fleet accounting and samples, scale,
+// fault, breaker and cloud counters, and (for traced cells) the Chrome
+// trace and series exports. A changed digest is a behaviour change.
 func goldenCells() []goldenCell {
 	det := func(seed uint64) func(t *testing.T) *workload.Trace {
 		return func(t *testing.T) *workload.Trace { return determinismTrace(t, seed) }
@@ -176,24 +175,6 @@ func goldenCells() []goldenCell {
 				return goldenFleet(cm, "g-origin", goldenOneGPU(cm), 2, "queue-depth")
 			},
 			want: "5a47d03b612619df5ae264ed80318e9709a98626cb8a4995c51170ca30050fb4",
-		},
-		{
-			name:  "cloud-fail-every-faults",
-			trace: det(111),
-			build: func(cm *perf.CostModel) Cluster {
-				cfg := goldenOneGPU(cm)
-				cfg.Admission = &AdmissionConfig{Policy: AdmissionShedOrBuy}
-				cl := goldenFleet(cm, "g-cloud-fail", cfg, 2, "queue-depth")
-				cl.Router = NewCloudOverflowRouter()
-				cl.Faults = &workload.FaultPlan{Crashes: []workload.ReplicaCrash{
-					{Replica: 1, At: 15 * time.Second, Restart: 25 * time.Second},
-				}}
-				cloud := cloudCfg()
-				cloud.FailEvery = 7
-				cl.Cloud = cloud
-				return cl
-			},
-			want: "34abbab1890f4aa539fef94b1145c2a5ef4dc6b5cacf13aefd5539ea788926da",
 		},
 	}
 }

@@ -190,10 +190,9 @@ type Result struct {
 	// served (their PerRequest rows carry Replica == CloudReplica and
 	// never reached an engine); CloudSpend is their price at
 	// PricePerMToken; CloudThrottled counts dispatches the tier delayed
-	// or refused (rate, budget, or injected failure). OwnedSpend prices
-	// the owned fleet (ReplicaSeconds at DollarsPerReplicaHour) and
-	// TotalSpend = OwnedSpend + CloudSpend — the two sides of the
-	// own-vs-rent ledger.
+	// or refused (rate or budget). OwnedSpend prices the owned fleet
+	// (ReplicaSeconds at DollarsPerReplicaHour) and TotalSpend =
+	// OwnedSpend + CloudSpend — the two sides of the own-vs-rent ledger.
 	CloudRequests  int
 	CloudTokens    int
 	CloudSpend     float64
