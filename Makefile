@@ -1,8 +1,8 @@
 # One-command verify + bench harness. `make ci` is what the tier-1
 # gate runs in spirit: formatting, vet, the docs lint, the full test
-# suite under the race detector, a single pass of every benchmark, and
-# the scenario-registry smoke (`simctl run -all -quick`, via
-# bench-json).
+# suite under the race detector, a single pass of every benchmark, the
+# scenario-registry smoke (`simctl run -all -quick`, via bench-json),
+# and vet + tests of the end-to-end benchmark module.
 
 GO ?= go
 PERFCOUNT ?= 5
@@ -13,9 +13,9 @@ FUZZTIME ?= 10s
 # margin absorbs counting noise, not deleted tests).
 COVERFLOOR ?= 86.0
 
-.PHONY: ci fmt vet test race bench bench-json trace-smoke chaos-smoke cost-smoke perfbench build docs fuzz fuzz-short cover
+.PHONY: ci fmt vet test race bench bench-json trace-smoke chaos-smoke cost-smoke perfbench build docs fuzz fuzz-short cover e2e-check
 
-ci: fmt vet docs race bench bench-json trace-smoke chaos-smoke cost-smoke fuzz-short cover
+ci: fmt vet docs race bench bench-json trace-smoke chaos-smoke cost-smoke fuzz-short cover e2e-check
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,14 @@ cost-smoke:
 	[ -n "$$creq" ] && [ "$$creq" != "0" ] || { echo "cost-smoke: cost-tiered overflow never reached the cloud"; exit 1; }; \
 	[ -n "$$spend" ] && [ "$$spend" != "0" ] || { echo "cost-smoke: cost-tiered billed zero total dollars"; exit 1; }; \
 	[ -n "$$bought" ] && [ "$$bought" != "0" ] || { echo "cost-smoke: shed-spill-buy bought no doomed waiters"; exit 1; }
+
+# The end-to-end benchmark harness is its own module (e2ebench/go.mod),
+# so the root `go vet ./...` and `go test ./...` never compile it: vet
+# and test it here, or an exported serve change could break the
+# benchmark unnoticed.
+e2e-check:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test ./...
 
 # Simulator-performance benchmarks (engine hot path, fleet stepping,
 # sweep fan-out) with allocation stats, repeated PERFCOUNT times so the

@@ -42,9 +42,9 @@ func costTierCloud(price, budget float64) *serve.CloudConfig {
 	}
 }
 
-// fixedFleet pins an autoscale controller at exactly n replicas: the
-// cloud economics want the controller path's live views (assigned minus
-// completed) for the overflow break-even, not the plain path's
+// fixedFleet pins an autoscale controller at exactly n replicas, so
+// owned cells run on the same controller path as the cloud-tiered ones:
+// live views (assigned minus completed), not the plain path's
 // forever-accumulating outstanding counters.
 func fixedFleet(n int) *serve.AutoscaleConfig {
 	return &serve.AutoscaleConfig{

@@ -89,42 +89,40 @@ func (StaticAutoscaler) Desired(v FleetView) int { return v.Active + v.Warming }
 
 // --- Queue-depth threshold ---
 
-// QueueDepthAutoscaler scales on backlog: when the queued requests per
-// provisioned replica cross High it adds Step replicas, and when they
-// fall to Low it removes one. It reacts before SLOs are missed (queue
-// depth is a leading indicator) but flaps under on/off bursts, paying
-// repeated cold starts — exactly the trade the autoscaling experiment
-// measures against the feedback policy.
-type QueueDepthAutoscaler struct {
-	// High is the queued-requests-per-replica threshold that adds Step
-	// replicas; Low the threshold that removes one.
-	High float64
-	Low  float64
-	// Step is the scale-up increment.
-	Step int
-}
+// Queue-depth tunings: grow by queueStep at queueHigh queued requests
+// per provisioned replica (a few seconds of backlog at typical request
+// service times), shrink by one at queueLow.
+const (
+	queueHigh = 4
+	queueLow  = 1
+	queueStep = 1
+)
 
-// NewQueueDepthAutoscaler returns the queue-depth policy with its
-// defaults: grow by 1 above 4 queued per replica (a few seconds of
-// backlog at typical request service times), shrink below 1.
-func NewQueueDepthAutoscaler() Autoscaler {
-	return &QueueDepthAutoscaler{High: 4, Low: 1, Step: 1}
-}
+// QueueDepthAutoscaler scales on backlog: when the queued requests per
+// provisioned replica reach queueHigh it adds queueStep replicas, and
+// when they fall to queueLow it removes one. It reacts before SLOs are
+// missed (queue depth is a leading indicator) but flaps under on/off
+// bursts, paying repeated cold starts — exactly the trade the
+// autoscaling experiment measures against the feedback policy.
+type QueueDepthAutoscaler struct{}
+
+// NewQueueDepthAutoscaler returns the queue-depth policy.
+func NewQueueDepthAutoscaler() Autoscaler { return &QueueDepthAutoscaler{} }
 
 // Name implements Autoscaler.
 func (*QueueDepthAutoscaler) Name() string { return "queue-depth" }
 
 // Desired implements Autoscaler.
-func (a *QueueDepthAutoscaler) Desired(v FleetView) int {
+func (*QueueDepthAutoscaler) Desired(v FleetView) int {
 	cur := v.Active + v.Warming
 	if cur < 1 {
 		cur = 1
 	}
 	per := float64(v.QueuedRequests) / float64(cur)
-	if per >= a.High {
-		return cur + a.Step
+	if per >= queueHigh {
+		return cur + queueStep
 	}
-	if per <= a.Low {
+	if per <= queueLow {
 		return cur - 1
 	}
 	return cur
@@ -132,29 +130,27 @@ func (a *QueueDepthAutoscaler) Desired(v FleetView) int {
 
 // --- SLO-attainment feedback with hysteresis ---
 
+// SLO-feedback tunings: grow under 90% attainment, shrink at 99%+, and
+// hold for three evaluations after any change.
+const (
+	sloTarget   = 0.90
+	sloRelax    = 0.99
+	sloCooldown = 3
+)
+
 // SLOFeedbackAutoscaler scales on measured TTFT attainment over the last
-// evaluation window: below Target it grows, and it shrinks only when
-// attainment sits at/above Relax with an empty queue — the [Target,
-// Relax) band is the hysteresis that keeps marginal fleets from
-// flapping. After any change it holds for Cooldown evaluations so the
+// evaluation window: below sloTarget it grows, and it shrinks only when
+// attainment sits at/above sloRelax with an empty queue — the band
+// between them is the hysteresis that keeps marginal fleets from
+// flapping. After any change it holds for sloCooldown evaluations so the
 // new replica's cold start (and its effect on attainment) is observed
 // before acting again.
 type SLOFeedbackAutoscaler struct {
-	// Target is the attainment floor that triggers growth; Relax the
-	// ceiling required (with an empty queue) before shrinking.
-	Target float64
-	Relax  float64
-	// Cooldown is the number of evaluations to hold after a change.
-	Cooldown int
-
 	hold int
 }
 
-// NewSLOFeedbackAutoscaler returns the feedback policy with its
-// defaults: grow under 90% attainment, shrink at 99%+, cooldown 3.
-func NewSLOFeedbackAutoscaler() Autoscaler {
-	return &SLOFeedbackAutoscaler{Target: 0.90, Relax: 0.99, Cooldown: 3}
-}
+// NewSLOFeedbackAutoscaler returns the feedback policy.
+func NewSLOFeedbackAutoscaler() Autoscaler { return &SLOFeedbackAutoscaler{} }
 
 // Name implements Autoscaler.
 func (*SLOFeedbackAutoscaler) Name() string { return "slo-feedback" }
@@ -172,12 +168,12 @@ func (a *SLOFeedbackAutoscaler) Desired(v FleetView) int {
 	if v.WindowSLORequests > 0 {
 		att = float64(v.WindowTTFTMet) / float64(v.WindowSLORequests)
 	}
-	if att < a.Target {
-		a.hold = a.Cooldown
+	if att < sloTarget {
+		a.hold = sloCooldown
 		return cur + 1
 	}
-	if att >= a.Relax && v.QueuedRequests == 0 {
-		a.hold = a.Cooldown
+	if att >= sloRelax && v.QueuedRequests == 0 {
+		a.hold = sloCooldown
 		return cur - 1
 	}
 	return cur
@@ -228,10 +224,8 @@ type AutoscaleConfig struct {
 	ColdStart time.Duration
 	// Min and Max bound the provisioned (active+warming) fleet.
 	// Zero values default to Min=1 and Max=4x the initial fleet.
+	// Spawned replicas copy the first config under generated names.
 	Min, Max int
-	// Template is the config spawned replicas are built from; nil uses
-	// the cluster's first config. Spawned replicas get generated names.
-	Template *Config
 }
 
 func (ac AutoscaleConfig) withDefaults(initial int) AutoscaleConfig {
@@ -263,15 +257,16 @@ func (ac AutoscaleConfig) validate(initial int) error {
 	return nil
 }
 
-// stepUntil advances the engine to the horizon, running the exact
-// admission/schedule/price/apply loop of Run but never starting an
-// iteration at or past the horizon — so the controller loop can
-// inject routed arrivals and scaling decisions at event boundaries
-// without perturbing engine behaviour (the static-baseline regression
-// test holds Cluster.Run and the autoscaled run bit-for-bit equal).
-// final promises that no further arrivals will be appended, enabling
-// Run's end-of-trace rejection of unadmittable waiters; without it an
-// idle engine parks at the horizon and waits for the controller.
+// stepUntil advances the engine to the horizon through the
+// admission/schedule/price/apply loop, never starting an iteration at
+// or past the horizon — so the controller loop can inject routed
+// arrivals and scaling decisions at event boundaries without perturbing
+// engine behaviour (the static-baseline regression test holds the plain
+// and controlled Cluster.Run paths bit-for-bit equal). Engine.Run is
+// one call with an unreachable horizon. final promises that no further
+// arrivals will be appended, enabling the end-of-trace rejection of
+// unadmittable waiters; without it an idle engine parks at the horizon
+// and waits for the controller.
 func (e *Engine) stepUntil(horizon time.Duration, final bool) {
 	for !e.finished() && e.now < horizon {
 		e.admit()
@@ -393,7 +388,6 @@ type fleetState struct {
 	// degrades and outageUntil are consulted at spawn time; the counters
 	// feed Result's recovery metrics.
 	faultsOn     bool
-	health       HealthConfig
 	degrades     []workload.Degrade
 	outageUntil  time.Duration
 	crashCount   int
@@ -460,7 +454,7 @@ func (f *fleetState) spawn(cfg Config, at, cold time.Duration) error {
 		kvCapacity: e.KVCapacityTokens(), state: replicaWarming,
 	}
 	if f.breakers != nil {
-		rep.breaker = newBreaker(*f.breakers)
+		rep.breaker = &breaker{}
 	}
 	if cold == 0 {
 		rep.state = replicaActive
@@ -753,12 +747,8 @@ func (f *fleetState) evaluate(now time.Duration, parked []workload.Request) erro
 	}
 	switch {
 	case desired > cur:
-		tmpl := f.ac.Template
-		if tmpl == nil {
-			tmpl = &f.replicas[0].engine.cfg
-		}
 		for n := desired - cur; n > 0; n-- {
-			cfg := *tmpl
+			cfg := f.replicas[0].engine.cfg
 			cfg.Name = "" // spawn generates a fresh replica name
 			if err := f.spawn(cfg, now, f.ac.ColdStart); err != nil {
 				return err

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,7 +77,7 @@ func autoscaledBurstRun(t *testing.T, cold time.Duration) *Result {
 	t.Helper()
 	cl := SingleEngine("auto", gpu1Cfg(llamaCM(t)))
 	cl.Autoscale = &AutoscaleConfig{
-		Scaler:    &QueueDepthAutoscaler{High: 2, Low: 0.5, Step: 2},
+		Scaler:    NewQueueDepthAutoscaler(),
 		Interval:  5 * time.Second,
 		ColdStart: cold,
 		Max:       6,
@@ -241,14 +242,14 @@ func TestQueueDepthScalesWithBurst(t *testing.T) {
 // machine: grow below target, hold through cooldown, no action inside
 // the hysteresis band, shrink only at relax with an empty queue.
 func TestSLOFeedbackHysteresis(t *testing.T) {
-	a := &SLOFeedbackAutoscaler{Target: 0.9, Relax: 0.99, Cooldown: 2}
+	a := &SLOFeedbackAutoscaler{}
 	v := func(met, total, queued, cur int) FleetView {
 		return FleetView{Active: cur, WindowTTFTMet: met, WindowSLORequests: total, QueuedRequests: queued}
 	}
 	if got := a.Desired(v(5, 10, 20, 2)); got != 3 {
 		t.Fatalf("attainment 0.5 should grow to 3, got %d", got)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < sloCooldown; i++ {
 		if got := a.Desired(v(0, 10, 50, 3)); got != 3 {
 			t.Fatalf("cooldown step %d acted: %d", i, got)
 		}
@@ -275,7 +276,7 @@ func TestSLOFeedbackEndToEnd(t *testing.T) {
 	tr.Stamp("", 0, workload.Deadline(1500*time.Millisecond, workload.NoDeadline))
 	cl := SingleEngine("slo-auto", gpu1Cfg(llamaCM(t)))
 	cl.Autoscale = &AutoscaleConfig{
-		Scaler:    &SLOFeedbackAutoscaler{Target: 0.9, Relax: 0.99, Cooldown: 1},
+		Scaler:    NewSLOFeedbackAutoscaler(),
 		Interval:  5 * time.Second,
 		ColdStart: 5 * time.Second,
 		Max:       6,
@@ -296,10 +297,18 @@ func TestAutoscaleConfigErrors(t *testing.T) {
 	cm := llamaCM(t)
 	tr := workload.Single(128, 16)
 
-	lock := DPCluster("lock", gpu1Cfg(cm), 2) // Lockstep=true
-	lock.Autoscale = &AutoscaleConfig{}
-	if _, err := lock.Run(tr); err == nil {
-		t.Fatal("lockstep + autoscale must error")
+	for name, set := range map[string]func(*Cluster){
+		"autoscale":    func(c *Cluster) { c.Autoscale = &AutoscaleConfig{} },
+		"shared cache": func(c *Cluster) { c.SharedCache = &SharedCacheConfig{} },
+		"cloud":        func(c *Cluster) { c.Cloud = cloudCfg() },
+	} {
+		lock := DPCluster("lock", gpu1Cfg(cm), 2) // Lockstep=true
+		set(&lock)
+		if _, err := lock.Run(tr); err == nil {
+			t.Fatalf("lockstep + %s must error", name)
+		} else if !strings.Contains(err.Error(), "shared cache") || !strings.Contains(err.Error(), "cloud") {
+			t.Fatalf("lockstep + %s error %q must name both the shared cache and the cloud tier", name, err)
+		}
 	}
 
 	small := SingleEngine("bounds", gpu1Cfg(cm))

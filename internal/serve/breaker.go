@@ -12,60 +12,23 @@ package serve
 // controller path, so breaker state (and every byte derived from it) is
 // identical across worker counts.
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
-// Breaker defaults (see BreakerConfig).
+// Breaker tunings: five consecutive failure signals (sheds, crash
+// losses) trip a closed breaker open; an open breaker diverts traffic
+// for five seconds before it half-opens and lets probe traffic
+// through; three successes close a half-open breaker again, and any
+// failure while half-open re-trips it.
 const (
-	DefaultBreakerFailures = 5
-	DefaultBreakerOpenFor  = 5 * time.Second
-	DefaultBreakerProbes   = 3
+	breakerFailLimit = 5
+	breakerOpenFor   = 5 * time.Second
+	breakerProbes    = 3
 )
 
-// BreakerConfig tunes the circuit breakers. The zero value of each
-// field means its default; a nil *BreakerConfig on Cluster/Geo disables
-// breakers entirely (the legacy routing path, byte-identical).
-type BreakerConfig struct {
-	// FailThreshold consecutive failure signals (sheds, crash losses)
-	// trip a closed breaker open. Zero means DefaultBreakerFailures.
-	FailThreshold int
-	// OpenFor is how long an open breaker diverts traffic before it
-	// half-opens and lets probe traffic through. Zero means
-	// DefaultBreakerOpenFor.
-	OpenFor time.Duration
-	// HalfOpenProbes is how many successes a half-open breaker needs to
-	// close again; any failure while half-open re-trips it. Zero means
-	// DefaultBreakerProbes.
-	HalfOpenProbes int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailThreshold == 0 {
-		c.FailThreshold = DefaultBreakerFailures
-	}
-	if c.OpenFor == 0 {
-		c.OpenFor = DefaultBreakerOpenFor
-	}
-	if c.HalfOpenProbes == 0 {
-		c.HalfOpenProbes = DefaultBreakerProbes
-	}
-	return c
-}
-
-func (c *BreakerConfig) validate() error {
-	if c == nil {
-		return nil
-	}
-	if c.FailThreshold < 0 || c.HalfOpenProbes < 0 {
-		return fmt.Errorf("serve: breaker thresholds must be non-negative")
-	}
-	if c.OpenFor < 0 {
-		return fmt.Errorf("serve: breaker open window %v is negative", c.OpenFor)
-	}
-	return nil
-}
+// BreakerConfig enables the circuit breakers: a non-nil *BreakerConfig
+// on Cluster/Geo turns them on with the tunings above, and nil disables
+// them entirely (the legacy routing path, byte-identical).
+type BreakerConfig struct{}
 
 type breakerState int
 
@@ -87,16 +50,11 @@ func (s breakerState) String() string {
 
 // breaker is one track's state machine.
 type breaker struct {
-	cfg      BreakerConfig
 	state    breakerState
 	fails    int // consecutive failures while closed
 	okProbes int // successes seen while half-open
 	openedAt time.Duration
 	opens    int // lifetime open transitions (Result.BreakerOpens)
-}
-
-func newBreaker(cfg BreakerConfig) *breaker {
-	return &breaker{cfg: cfg.withDefaults()}
 }
 
 // failure records one failure signal (a shed); it trips a closed
@@ -106,7 +64,7 @@ func (b *breaker) failure(now time.Duration) bool {
 	switch b.state {
 	case breakerClosed:
 		b.fails++
-		if b.fails >= b.cfg.FailThreshold {
+		if b.fails >= breakerFailLimit {
 			b.trip(now)
 			return true
 		}
@@ -139,7 +97,7 @@ func (b *breaker) success() bool {
 		b.fails = 0
 	case breakerHalfOpen:
 		b.okProbes++
-		if b.okProbes >= b.cfg.HalfOpenProbes {
+		if b.okProbes >= breakerProbes {
 			b.state = breakerClosed
 			b.fails, b.okProbes = 0, 0
 			return true
@@ -154,7 +112,7 @@ func (b *breaker) success() bool {
 // means avoid; half-open lets the probes through.
 func (b *breaker) allow(now time.Duration) bool {
 	if b.state == breakerOpen {
-		if now-b.openedAt < b.cfg.OpenFor {
+		if now-b.openedAt < breakerOpenFor {
 			return false
 		}
 		b.state = breakerHalfOpen

@@ -135,18 +135,24 @@ func cacheCluster(t *testing.T, routerName string, pc *PrefixCacheConfig, sc *Sh
 // policy: each request the fleet admits is exactly one hit or one miss,
 // and the per-replica split sums to the fleet totals.
 func TestCacheConservation(t *testing.T) {
-	tr := sessionedTrace(t, 21, 8)
+	// More session prefix than the fleet's KV capacity forces evictions,
+	// so conservation is checked on the churning cache, not just the
+	// steady one.
+	tr := workload.Poisson("churn", tensor.NewRNG(21), 3.0, 60*time.Second,
+		workload.FixedSize{In: 8000, Out: 16}, "chat")
+	for i := range tr.Requests {
+		tr.Requests[i].Session = fmt.Sprintf("sess-%d", i%100)
+	}
 	for _, router := range RouterNames {
 		router := router
 		t.Run(router, func(t *testing.T) {
-			// A small capacity forces evictions, so conservation is
-			// checked on the churning cache, not just the steady one.
-			cl := cacheCluster(t, router, &PrefixCacheConfig{
-				ShareFraction: 0.5, CapacityTokens: 4096,
-			}, nil)
+			cl := cacheCluster(t, router, &PrefixCacheConfig{ShareFraction: 0.5}, nil)
 			res, err := cl.Run(tr)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if res.CacheEvictions == 0 {
+				t.Fatal("test premise broken: the cache never evicted")
 			}
 			if got := res.CacheHits + res.CacheMisses; got != len(tr.Requests) {
 				t.Fatalf("hits %d + misses %d = %d, want one per admitted request (%d)",

@@ -14,8 +14,8 @@ import (
 // a Cluster or Geo as the third escape hatch next to shedding and
 // cross-region spill. The cloud has no KV or batching model — it is
 // somebody else's fleet — just its own latency law (base + per-token),
-// a token-bucket rate limit, an optional concurrency cap, and
-// unbounded-but-priced capacity. Three decision points consult it:
+// a token-bucket rate limit, and unbounded-but-priced capacity. Three
+// decision points consult it:
 //
 //  1. Routing: the cloud-overflow replica router (and the spill-over
 //     geo router's extension) compares the projected local wait —
@@ -48,17 +48,10 @@ type CloudConfig struct {
 	// PricePerMToken is the dollar price per million tokens (input +
 	// output billed alike, the common flat API rate).
 	PricePerMToken float64
-	// Concurrency caps simultaneously in-flight cloud requests; a
-	// dispatch past the cap waits for the oldest in-flight completion.
-	// 0 means unbounded.
-	Concurrency int
 	// RateLimit is the provider-side token-bucket refill in tokens/sec;
-	// a dispatch overdrawing the bucket is delayed until the deficit
-	// refills. 0 means unlimited.
+	// the bucket holds one second of refill, and a dispatch overdrawing
+	// it is delayed until the deficit refills. 0 means unlimited.
 	RateLimit float64
-	// Burst is the token bucket's capacity in tokens. 0 with a RateLimit
-	// defaults to one second of refill (= RateLimit tokens).
-	Burst int
 	// MaxSpend is the run's cloud budget in dollars: a dispatch that
 	// would push cumulative spend past it is refused (the MaxCloudSpend
 	// knob of the overflow break-even). 0 means unlimited.
@@ -80,12 +73,8 @@ func (c *CloudConfig) validate() error {
 		return fmt.Errorf("serve: cloud per-token latency %v negative", c.PerToken)
 	case c.PricePerMToken < 0:
 		return fmt.Errorf("serve: cloud price %v $/Mtoken negative", c.PricePerMToken)
-	case c.Concurrency < 0:
-		return fmt.Errorf("serve: cloud concurrency %d negative", c.Concurrency)
 	case c.RateLimit < 0:
 		return fmt.Errorf("serve: cloud rate limit %v tok/s negative", c.RateLimit)
-	case c.Burst < 0:
-		return fmt.Errorf("serve: cloud burst %d negative", c.Burst)
 	case c.MaxSpend < 0:
 		return fmt.Errorf("serve: cloud budget %v negative", c.MaxSpend)
 	case c.DollarsPerReplicaHour < 0:
@@ -94,20 +83,12 @@ func (c *CloudConfig) validate() error {
 	return nil
 }
 
-// burstTokens resolves the bucket capacity (see CloudConfig.Burst).
-func (c *CloudConfig) burstTokens() float64 {
-	if c.Burst > 0 {
-		return float64(c.Burst)
-	}
-	return c.RateLimit
-}
-
 // CloudView is what a cloud-aware router sees about the backend at a
 // routing instant: the latency a dispatch right now would pay and
 // whether the budget still allows buying.
 type CloudView struct {
-	// ProjectedWait is the rate-limit/concurrency delay a dispatch at
-	// the view instant would wait before its BaseLatency starts.
+	// ProjectedWait is the rate-limit delay a dispatch at the view
+	// instant would wait before its BaseLatency starts.
 	ProjectedWait time.Duration
 	BaseLatency   time.Duration
 	PerToken      time.Duration
@@ -138,26 +119,21 @@ type CloudAwareGeoRouter interface {
 	RouteCloud(r workload.Request, origin int, regions []RegionView, cloud CloudView) bool
 }
 
-// cloudTier is the per-run state of a CloudConfig: the token bucket,
-// the in-flight window, the ledger, and the synthetic metrics of the
-// requests it served. All mutation happens on serial paths (arrival
-// routing, controller events, staged-shed drains), so the tier needs no
-// locking and its state evolves identically at every worker count. All
-// methods are nil-safe.
+// cloudTier is the per-run state of a CloudConfig: the token bucket, the
+// ledger, and the synthetic metrics of the requests it served. All
+// mutation happens on serial paths (arrival routing, controller events,
+// staged-shed drains), so the tier needs no locking and its state
+// evolves identically at every worker count. All methods are nil-safe.
 type cloudTier struct {
-	cfg   CloudConfig
-	burst float64
+	cfg CloudConfig
 
-	// Token bucket (RateLimit > 0): balance may go negative — the
-	// overdraft is the deficit a dispatch waits out. lastRefill only
-	// moves forward so out-of-order offer times (post-run shed drains)
-	// cannot refill twice.
+	// Token bucket (RateLimit > 0, capacity RateLimit tokens): balance
+	// may go negative — the overdraft is the deficit a dispatch waits
+	// out. lastRefill only moves forward: the controller's serial points
+	// offer in time order, and should an offer ever be stamped before the
+	// last refill it must not refill the bucket a second time.
 	tokens     float64
 	lastRefill time.Duration
-
-	// inflight holds the completion times of in-flight cloud requests,
-	// ascending (Concurrency > 0 only).
-	inflight []time.Duration
 
 	spend        float64
 	requests     int
@@ -178,8 +154,7 @@ func newCloudTier(cfg *CloudConfig) *cloudTier {
 	if cfg == nil {
 		return nil
 	}
-	burst := cfg.burstTokens()
-	return &cloudTier{cfg: *cfg, burst: burst, tokens: burst}
+	return &cloudTier{cfg: *cfg, tokens: cfg.RateLimit}
 }
 
 // observe registers the tier's obs track. Serial setup path only.
@@ -200,62 +175,34 @@ func (ct *cloudTier) view(now time.Duration) CloudView {
 	if ct.cfg.MaxSpend > 0 && ct.spend >= ct.cfg.MaxSpend {
 		v.BudgetExhausted = true
 	}
-	var wait time.Duration
 	if ct.cfg.RateLimit > 0 {
 		tokens := ct.tokens
 		if now > ct.lastRefill {
-			tokens += ct.cfg.RateLimit * (now - ct.lastRefill).Seconds()
-			if tokens > ct.burst {
-				tokens = ct.burst
-			}
+			tokens = min(tokens+ct.cfg.RateLimit*(now-ct.lastRefill).Seconds(), ct.cfg.RateLimit)
 		}
 		if tokens < 0 {
-			wait = time.Duration(-tokens / ct.cfg.RateLimit * float64(time.Second))
+			v.ProjectedWait = time.Duration(-tokens / ct.cfg.RateLimit * float64(time.Second))
 		}
 	}
-	if c := ct.cfg.Concurrency; c > 0 && len(ct.inflight) >= c {
-		start := now + wait
-		if at := ct.inflight[len(ct.inflight)-c]; at > start {
-			wait = at - now
-		}
-	}
-	v.ProjectedWait = wait
 	return v
 }
 
 // admitDelay charges one dispatch of need tokens at now against the
-// rate limit and the concurrency cap, returning how long the dispatch
-// waits before its BaseLatency starts.
+// rate limit, returning how long the dispatch waits before its
+// BaseLatency starts.
 func (ct *cloudTier) admitDelay(now time.Duration, need float64) time.Duration {
-	var wait time.Duration
-	if ct.cfg.RateLimit > 0 {
-		if now > ct.lastRefill {
-			ct.tokens += ct.cfg.RateLimit * (now - ct.lastRefill).Seconds()
-			if ct.tokens > ct.burst {
-				ct.tokens = ct.burst
-			}
-			ct.lastRefill = now
-		}
-		ct.tokens -= need
-		if ct.tokens < 0 {
-			wait = time.Duration(-ct.tokens / ct.cfg.RateLimit * float64(time.Second))
-		}
+	if ct.cfg.RateLimit <= 0 {
+		return 0
 	}
-	if c := ct.cfg.Concurrency; c > 0 {
-		start := now + wait
-		// Drop completions that finished by the dispatch start.
-		i := 0
-		for i < len(ct.inflight) && ct.inflight[i] <= start {
-			i++
-		}
-		ct.inflight = append(ct.inflight[:0], ct.inflight[i:]...)
-		if len(ct.inflight) >= c {
-			if at := ct.inflight[len(ct.inflight)-c]; at > start {
-				wait = at - now
-			}
-		}
+	if now > ct.lastRefill {
+		ct.tokens = min(ct.tokens+ct.cfg.RateLimit*(now-ct.lastRefill).Seconds(), ct.cfg.RateLimit)
+		ct.lastRefill = now
 	}
-	return wait
+	ct.tokens -= need
+	if ct.tokens >= 0 {
+		return 0
+	}
+	return time.Duration(-ct.tokens / ct.cfg.RateLimit * float64(time.Second))
 }
 
 // offer dispatches one request to the cloud at now. policy labels the
@@ -285,12 +232,6 @@ func (ct *cloudTier) offer(r workload.Request, now time.Duration, policy string)
 	done := firstTok
 	if r.OutputTokens > 1 {
 		done += ct.cfg.PerToken * time.Duration(r.OutputTokens-1)
-	}
-	if ct.cfg.Concurrency > 0 {
-		i := sort.Search(len(ct.inflight), func(j int) bool { return ct.inflight[j] > done })
-		ct.inflight = append(ct.inflight, 0)
-		copy(ct.inflight[i+1:], ct.inflight[i:])
-		ct.inflight[i] = done
 	}
 	ct.spend += price
 	ct.requests++
@@ -337,64 +278,37 @@ func (ct *cloudTier) fill(r *Result) {
 
 // --- Cloud overflow replica router ---
 
-// CloudOverflowRouter wraps a local routing policy with the rent-vs-wait
-// break-even: when the least-loaded routable replica's projected wait
-// exceeds the cloud's current first-token latency (and budget remains),
-// the request is served by the cloud; otherwise it routes locally via
-// Inner. A fresh fleet has zero projected wait and never overflows, so
-// the policy is strictly an escape valve.
+// CloudOverflowRouter adds the rent-vs-wait break-even to live-least-
+// loaded routing: when the least-loaded routable replica's projected
+// wait exceeds the cloud's current first-token latency (and budget
+// remains), the request is served by the cloud; otherwise it routes
+// locally by live load. A fresh fleet has zero projected wait and never
+// overflows, so the policy is strictly an escape valve.
 //
 // The policy is deliberately NOT in builtinRouters/RouterNames — the
 // cluster-routing scenario sweeps RouterNames over cloudless fleets
-// (where overflow degrades to its Inner policy but would still add
+// (where overflow degrades to live-least-loaded but would still add
 // pinned bench rows); NewRouter still constructs it by name.
-type CloudOverflowRouter struct {
-	// Inner places requests that stay local; nil uses live-least-loaded.
-	Inner Router
-	// PriorRate floors the per-replica serving-rate estimate (tokens/sec)
-	// for the projected-wait calculation, mirroring SpillOverRouter's
-	// prior. 0 means DefaultCloudPriorRate.
-	PriorRate float64
-}
+type CloudOverflowRouter struct{}
 
-// DefaultCloudPriorRate is CloudOverflowRouter's serving-rate prior,
-// matching SpillOverRouter's single-replica saturated-throughput floor.
-const DefaultCloudPriorRate = 5000
-
-// NewCloudOverflowRouter returns the overflow policy with its defaults.
+// NewCloudOverflowRouter returns the overflow policy.
 func NewCloudOverflowRouter() *CloudOverflowRouter { return &CloudOverflowRouter{} }
 
 // Name implements Router.
 func (*CloudOverflowRouter) Name() string { return "cloud-overflow" }
 
-func (c *CloudOverflowRouter) inner() Router {
-	if c.Inner == nil {
-		c.Inner = NewLiveLeastLoadedRouter()
-	}
-	return c.Inner
-}
-
-// Route implements Router: local placement delegates to Inner.
-func (c *CloudOverflowRouter) Route(r workload.Request, replicas []ReplicaView) int {
-	return c.inner().Route(r, replicas)
-}
-
-func (c *CloudOverflowRouter) reset() {
-	if rr, ok := c.inner().(resettable); ok {
-		rr.reset()
-	}
+// Route implements Router: local placement is live-least-loaded.
+func (*CloudOverflowRouter) Route(r workload.Request, replicas []ReplicaView) int {
+	return liveLeastLoaded{}.Route(r, replicas)
 }
 
 // RouteCloud implements CloudAwareRouter: overflow when every replica's
-// projected wait (live backlog over the rate prior, breaker-open
-// replicas skipped) beats the cloud's projected first-token latency.
-func (c *CloudOverflowRouter) RouteCloud(_ workload.Request, replicas []ReplicaView, cloud CloudView) bool {
+// projected wait (live backlog over the spill-over rate prior,
+// breaker-open replicas skipped) beats the cloud's projected first-token
+// latency.
+func (*CloudOverflowRouter) RouteCloud(_ workload.Request, replicas []ReplicaView, cloud CloudView) bool {
 	if cloud.BudgetExhausted {
 		return false
-	}
-	rate := c.PriorRate
-	if rate <= 0 {
-		rate = DefaultCloudPriorRate
 	}
 	load := func(v ReplicaView) int {
 		if v.Live {
@@ -415,7 +329,7 @@ func (c *CloudOverflowRouter) RouteCloud(_ workload.Request, replicas []ReplicaV
 		// Every breaker open: the cloud is the escape hatch.
 		return true
 	}
-	return float64(minLoad)/rate > cloud.Latency().Seconds()
+	return float64(minLoad)/priorRate > cloud.Latency().Seconds()
 }
 
 // --- shed-or-buy staging ---
@@ -431,7 +345,7 @@ type cloudShedEntry struct {
 // orders them globally by (shed time, request ID) — a total order
 // independent of engine stepping interleave — and offers each to the
 // cloud. Refusals (budget) shed normally via refuseCloudShed; accepted
-// buys invoke onBuy (e.g. controller live-load bookkeeping). Serial
+// buys invoke onBuy (the controller's live-load bookkeeping). Serial
 // paths only.
 func drainCloudShed(engines []*Engine, ct *cloudTier, onBuy func(e *Engine, s *seq)) {
 	if ct == nil {
@@ -458,9 +372,7 @@ func drainCloudShed(engines []*Engine, ct *cloudTier, onBuy func(e *Engine, s *s
 	})
 	for _, en := range all {
 		if ct.offer(en.s.req, en.at, "shed-or-buy") {
-			if onBuy != nil {
-				onBuy(en.e, en.s)
-			}
+			onBuy(en.e, en.s)
 			continue
 		}
 		en.e.refuseCloudShed(en.s, en.at)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/perf"
+	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
@@ -13,9 +14,7 @@ func TestCloudConfigValidate(t *testing.T) {
 		{BaseLatency: -time.Second},
 		{PerToken: -time.Millisecond},
 		{PricePerMToken: -1},
-		{Concurrency: -1},
 		{RateLimit: -1},
-		{Burst: -1},
 		{MaxSpend: -1},
 		{DollarsPerReplicaHour: -1},
 	}
@@ -38,7 +37,7 @@ func TestCloudConfigValidate(t *testing.T) {
 // a dispatch within burst is immediate, the overdraft delays the next,
 // and out-of-order offer times (shed drains) cannot refill twice.
 func TestCloudTierRateLimit(t *testing.T) {
-	ct := newCloudTier(&CloudConfig{RateLimit: 1000, Burst: 1000})
+	ct := newCloudTier(&CloudConfig{RateLimit: 1000})
 	if d := ct.admitDelay(0, 1000); d != 0 {
 		t.Fatalf("in-burst dispatch delayed %v", d)
 	}
@@ -56,25 +55,6 @@ func TestCloudTierRateLimit(t *testing.T) {
 	ct.admitDelay(500*time.Millisecond, 0)
 	if ct.tokens != before {
 		t.Fatalf("out-of-order offer refilled the bucket: %v -> %v", before, ct.tokens)
-	}
-}
-
-// The concurrency cap delays dispatches past the oldest in-flight
-// completion that frees a slot.
-func TestCloudTierConcurrencyCap(t *testing.T) {
-	ct := newCloudTier(&CloudConfig{BaseLatency: time.Second, Concurrency: 2, PricePerMToken: 1})
-	r := workload.Request{InputTokens: 10, OutputTokens: 1}
-	ct.offer(r, 0, "overflow")
-	ct.offer(r, 0, "overflow") // both complete at 1s
-	v := ct.view(0)
-	if v.ProjectedWait != time.Second {
-		t.Fatalf("view wait %v with a full window, want 1s", v.ProjectedWait)
-	}
-	r.ID = 3
-	ct.offer(r, 0, "overflow")
-	m := ct.served[2]
-	if m.TTFT != 2*time.Second {
-		t.Fatalf("capped dispatch TTFT %v, want 2s (1s slot wait + 1s base)", m.TTFT)
 	}
 }
 
@@ -105,8 +85,8 @@ func TestCloudTierBudget(t *testing.T) {
 func TestCloudOverflowRouterBreakEven(t *testing.T) {
 	r := NewCloudOverflowRouter()
 	cloud := CloudView{BaseLatency: 2 * time.Second}
-	busy := ReplicaView{Live: true, LiveTokens: 3 * DefaultCloudPriorRate} // 3s projected
-	idle := ReplicaView{Live: true, LiveTokens: DefaultCloudPriorRate}     // 1s projected
+	busy := ReplicaView{Live: true, LiveTokens: 3 * priorRate} // 3s projected
+	idle := ReplicaView{Live: true, LiveTokens: priorRate}     // 1s projected
 
 	if !r.RouteCloud(workload.Request{}, []ReplicaView{busy, busy}, cloud) {
 		t.Fatal("3s local wait vs 2s cloud: must overflow")
@@ -135,10 +115,9 @@ func TestCloudOverflowRouterBreakEven(t *testing.T) {
 // best region's projected cost beats the cloud's latency.
 func TestSpillOverRouteCloudBreakEven(t *testing.T) {
 	s := NewSpillOverRouter().(*SpillOverRouter)
-	rate := s.PriorRate
 	regions := []RegionView{
-		{Index: 0, Active: 1, QueuedTokens: int(3 * rate)},                              // 3s local wait
-		{Index: 1, Active: 1, QueuedTokens: int(1 * rate), RTT: 500 * time.Millisecond}, // 1.5s remote
+		{Index: 0, Active: 1, QueuedTokens: 3 * priorRate},                              // 3s local wait
+		{Index: 1, Active: 1, QueuedTokens: 1 * priorRate, RTT: 500 * time.Millisecond}, // 1.5s remote
 	}
 	if !s.RouteCloud(workload.Request{}, 0, regions, CloudView{BaseLatency: time.Second}) {
 		t.Fatal("best region 1.5s vs 1s cloud: must buy")
@@ -165,7 +144,37 @@ func cloudCfg() *CloudConfig {
 	}
 }
 
-// Dollar conservation on the plain cluster path: the ledger splits
+// TestCloudLightLoadStaysLocal: a Cluster with a cloud tier runs on the
+// controller, so the cloud-overflow router sees live views that drain
+// as requests complete. Two idle replicas at 0.05 req/s must rent
+// nothing, and the run must equal the same cluster under an explicit
+// static autoscaler.
+func TestCloudLightLoadStaysLocal(t *testing.T) {
+	cm := llamaCM(t)
+	sizes := workload.FixedSize{In: 1200, Out: 200}
+	tr := workload.Poisson("light", tensor.NewRNG(5), 0.05, 560*time.Second, sizes, "interactive")
+	run := func(auto *AutoscaleConfig) *Result {
+		cl := DPCluster("light", gpu1Cfg(cm), 2)
+		cl.Lockstep = false
+		cl.Router = NewCloudOverflowRouter()
+		cl.Cloud = cloudCfg()
+		cl.Autoscale = auto
+		res, err := cl.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain, static := run(nil), run(&AutoscaleConfig{})
+	if plain.CloudRequests != 0 {
+		t.Fatalf("idle fleet sent %d of %d requests to the cloud", plain.CloudRequests, len(tr.Requests))
+	}
+	if encodeResult(t, plain) != encodeResult(t, static) {
+		t.Fatal("cloud-tiered Cluster diverged from the same cluster under the static autoscaler")
+	}
+}
+
+// Dollar conservation on a cloud-tiered cluster: the ledger splits
 // exactly, every cloud-served request appears exactly once with the
 // cloud replica name, and the counters match the per-request rows.
 func TestCloudDollarConservation(t *testing.T) {
@@ -340,7 +349,7 @@ func TestCloudAutoscaleParallelMatchesSerial(t *testing.T) {
 			Max:       6,
 		}
 		cl.Faults = plan
-		cl.Breakers = &BreakerConfig{FailThreshold: 3, OpenFor: 4 * time.Second}
+		cl.Breakers = &BreakerConfig{}
 		cloud := cloudCfg()
 		cloud.MaxSpend = 2
 		cl.Cloud = cloud

@@ -39,35 +39,33 @@ type Cluster struct {
 	// time instead of serving the whole trace on the initial Configs;
 	// see AutoscaleConfig. Requires Lockstep=false.
 	//
-	// A Cluster with Autoscale, Faults, Health, or Breakers set is a
-	// controlled fleet: Run serves it as a one-region Geo named after
-	// the cluster (under the static policy when Autoscale is nil).
+	// A Cluster with Autoscale, Faults, Breakers, SharedCache, or Cloud
+	// set is a controlled fleet: Run serves it as a one-region Geo named
+	// after the cluster (under the static policy when Autoscale is nil).
 	Autoscale *AutoscaleConfig
 	// Faults, when set, injects the plan's replica crashes, outages, and
 	// degrade windows into the run: crashed work re-enqueues at the
-	// balancer with a retry count, and the health tier (Health, or its
-	// defaults) governs ejection and readmission. Plan entries name the
-	// cluster or no region at all; any other region is an error.
-	// Requires Lockstep=false.
+	// balancer with a retry count, and the router's health-check tier
+	// governs ejection and readmission. Plan entries name the cluster or
+	// no region at all; any other region is an error. Requires
+	// Lockstep=false.
 	Faults *workload.FaultPlan
-	// Health, when set, enables the router's health-check tier even
-	// without a fault plan; see HealthConfig.
-	Health *HealthConfig
 	// Breakers, when set, wraps every replica in a circuit breaker
 	// (closed → open → half-open) fed by admission sheds, completions,
 	// and crashes; breaker-aware routers steer traffic around open
-	// replicas. Composes with — does not replace — the Health tier.
+	// replicas. Composes with — does not replace — the health tier.
 	// Requires Lockstep=false.
 	Breakers *BreakerConfig
 	// SharedCache, when set, answers repeated prompts (requests sharing
 	// a PromptKey) at the balancer after the configured latency, before
-	// any engine sees them; see SharedCacheConfig.
+	// any engine sees them; see SharedCacheConfig. Requires
+	// Lockstep=false.
 	SharedCache *SharedCacheConfig
 	// Cloud, when set, attaches the elastic pay-per-token backend (see
 	// CloudConfig): cloud-aware routers can overflow to it, the
 	// shed-or-buy admission policy offers doomed waiters to it, and the
-	// Result carries the owned-vs-rented dollar ledger. nil keeps every
-	// legacy path byte-identical.
+	// Result carries the owned-vs-rented dollar ledger. Requires
+	// Lockstep=false.
 	Cloud *CloudConfig
 	// Parallelism bounds the worker pool that steps independent
 	// (non-lockstep) replicas concurrently: 0 uses GOMAXPROCS, 1 forces
@@ -109,23 +107,23 @@ func SingleEngine(name string, cfg Config) Cluster {
 // are replayed on a shared clock where every global iteration lasts as
 // long as the slowest replica's step (vLLM DP engine semantics) — the
 // assignment itself is byte-identical in both modes. A controlled fleet
-// (Autoscale, Faults, Health, or Breakers set) runs on the controller
-// loop of a one-region Geo instead; its static policy reproduces this
-// fixed-fleet path bit-for-bit.
+// (Autoscale, Faults, Breakers, SharedCache, or Cloud set) runs on the
+// controller loop of a one-region Geo instead, where routers see live
+// views and the shared cache and cloud tiers act in time order; its
+// static policy reproduces this fixed-fleet path bit-for-bit.
 func (c Cluster) Run(t *workload.Trace) (*Result, error) {
-	if c.Autoscale != nil || c.Faults != nil || c.Health != nil || c.Breakers != nil {
+	if c.Autoscale != nil || c.Faults != nil || c.Breakers != nil || c.SharedCache != nil || c.Cloud != nil {
 		if c.Lockstep {
 			// Even a one-replica lockstep cluster must error: scaling it up
 			// would silently drop the DP lockstep semantics the caller asked
 			// for (spawned replicas run on independent clocks).
-			return nil, fmt.Errorf("serve: autoscaling and fault injection require independent replicas (Lockstep=false)")
+			return nil, fmt.Errorf("serve: autoscaling, fault injection, breakers, the shared cache and the cloud tier require independent replicas (Lockstep=false)")
 		}
 		res, err := Geo{
 			Name:         c.Name,
 			Topology:     SingleRegion(c.Name),
 			Regions:      []Region{{Configs: c.Configs, Autoscale: c.Autoscale, Router: c.Router}},
 			Faults:       c.Faults,
-			Health:       c.Health,
 			Breakers:     c.Breakers,
 			SharedCache:  c.SharedCache,
 			Cloud:        c.Cloud,
@@ -146,18 +144,9 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if err := c.SharedCache.validate(); err != nil {
-		return nil, err
-	}
-	if err := c.Cloud.validate(); err != nil {
-		return nil, err
-	}
-	// Track registration order: balancer first, then the cloud tier (if
-	// attached), then replicas in index order (all serial, so exports
-	// are worker-count independent).
+	// Track registration order: balancer first, then replicas in index
+	// order (all serial, so exports are worker-count independent).
 	bal := c.Obs.Stream("", "balancer")
-	cloud := newCloudTier(c.Cloud)
-	cloud.observe(c.Obs, "")
 	engines := make([]*Engine, len(c.Configs))
 	for i, cfg := range c.Configs {
 		e, err := NewEngine(cfg)
@@ -166,12 +155,10 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 		}
 		e.setRecordIters(c.RecordEvents)
 		e.attachStream(c.Obs.Stream("", cfg.Name))
-		e.buyDivert = cloud != nil
 		engines[i] = e
 	}
 
-	shared := newSharedTier(c.SharedCache)
-	assigned, err := routeTrace(c.Router, t, c.Configs, engines, shared, cloud, bal)
+	assigned, err := routeTrace(c.Router, t, c.Configs, engines, bal)
 	if err != nil {
 		return nil, err
 	}
@@ -191,40 +178,19 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 			metrics = append(metrics, share...)
 		}
 	}
-	if cloud != nil {
-		// Shed-or-buy waiters staged while the engines ran are offered
-		// to the cloud now (serial, globally ordered by shed time), then
-		// metrics are re-collected so refused waiters' shed rows appear.
-		drainCloudShed(engines, cloud, nil)
-		metrics = nil
-		for i, e := range engines {
-			metrics = append(metrics, e.metrics(assigned[i])...)
-		}
-	}
-	metrics = append(metrics, shared.metricsList()...)
-	metrics = append(metrics, cloud.metricsList()...)
-	res := buildResult(c.Name, metrics, engines)
-	shared.fill(res)
-	cloud.fill(res)
-	return res, nil
+	return buildResult(c.Name, metrics, engines), nil
 }
 
 // routeTrace assigns every request of the trace to exactly one replica
 // (conservation: the shares partition the trace), updating the router's
-// view of outstanding work after each placement. A non-nil shared tier
-// intercepts repeated prompts before they reach the router — shared-hit
-// requests are answered at the balancer and appear in no share. A
-// non-nil cloud tier is consulted next when the router is cloud-aware:
-// requests the cloud accepts appear in no share either (a refused
-// dispatch falls through to local routing).
-func routeTrace(router Router, t *workload.Trace, cfgs []Config, engines []*Engine, shared *sharedTier, cloud *cloudTier, bal *obs.Stream) ([][]workload.Request, error) {
+// view of outstanding work after each placement.
+func routeTrace(router Router, t *workload.Trace, cfgs []Config, engines []*Engine, bal *obs.Stream) ([][]workload.Request, error) {
 	if router == nil {
 		router = NewLeastOutstandingRouter()
 	}
 	if r, ok := router.(resettable); ok {
 		r.reset()
 	}
-	ca, cloudAware := router.(CloudAwareRouter)
 	views := make([]ReplicaView, len(engines))
 	for i, e := range engines {
 		views[i] = ReplicaView{
@@ -236,15 +202,6 @@ func routeTrace(router Router, t *workload.Trace, cfgs []Config, engines []*Engi
 	}
 	assigned := make([][]workload.Request, len(engines))
 	for _, r := range t.Requests {
-		if shared.intercept(r) {
-			bal.Event(r.Arrival, obs.EvSharedHit, r.ID, "")
-			continue
-		}
-		if cloud != nil && cloudAware && ca.RouteCloud(r, views, cloud.view(r.Arrival)) {
-			if cloud.offer(r, r.Arrival, "overflow") {
-				continue
-			}
-		}
 		i := router.Route(r, views)
 		if i < 0 || i >= len(engines) {
 			return nil, fmt.Errorf("serve: router %s returned replica %d of %d", router.Name(), i, len(engines))

@@ -173,7 +173,7 @@ func TestCachedClusterParallelMatchesSerial(t *testing.T) {
 	serial, parallel := runBoth(t, func(p int) (*Result, error) {
 		cfg := Config{
 			CM: cm, Par: perf.Parallelism{SP: 1, TP: 1},
-			PrefixCache: &PrefixCacheConfig{ShareFraction: 0.5, CapacityTokens: 1 << 16},
+			PrefixCache: &PrefixCacheConfig{ShareFraction: 0.5},
 		}
 		cl := DPCluster("det-cache", cfg, 4)
 		cl.Lockstep = false

@@ -88,9 +88,9 @@ const (
 	AdmissionDeadline = "deadline-infeasible"
 	// AdmissionProjected is AdmissionDeadline gated by a queue-wide
 	// hysteresis band: shedding only turns on while the waiting queue's
-	// projected TTFT attainment is below Target, and stays on until it
-	// recovers past Relax — so isolated stragglers survive but a
-	// drowning queue is cut back to servable load.
+	// projected TTFT attainment is below admissionTarget, and stays on
+	// until it recovers to admissionRelax — so isolated stragglers
+	// survive but a drowning queue is cut back to servable load.
 	AdmissionProjected = "projected-attainment"
 	// AdmissionShedOrBuy judges waiters like AdmissionDeadline, but when
 	// the cluster/geo has a cloud tier attached the doomed waiters are
@@ -103,32 +103,17 @@ const (
 // AdmissionPolicyNames lists the admission policies in sweep order.
 var AdmissionPolicyNames = []string{AdmissionNone, AdmissionDeadline, AdmissionProjected, AdmissionShedOrBuy}
 
-// Projected-attainment hysteresis defaults.
+// Projected-attainment hysteresis: shedding starts below
+// admissionTarget and stops at or above admissionRelax.
 const (
-	DefaultAdmissionTarget = 0.7
-	DefaultAdmissionRelax  = 0.9
+	admissionTarget = 0.7
+	admissionRelax  = 0.9
 )
 
-// AdmissionConfig selects and tunes the engine's admission policy.
+// AdmissionConfig selects the engine's admission policy.
 type AdmissionConfig struct {
 	// Policy is one of AdmissionPolicyNames; "" means AdmissionNone.
 	Policy string
-	// Target and Relax bound the projected-attainment hysteresis (only
-	// consulted by AdmissionProjected): shedding starts below Target and
-	// stops at or above Relax. Zero means the defaults.
-	Target float64
-	Relax  float64
-}
-
-func (a *AdmissionConfig) withDefaults() AdmissionConfig {
-	c := *a
-	if c.Target == 0 {
-		c.Target = DefaultAdmissionTarget
-	}
-	if c.Relax == 0 {
-		c.Relax = DefaultAdmissionRelax
-	}
-	return c
 }
 
 // enabled reports whether the config actually sheds anything.
@@ -144,13 +129,6 @@ func (a *AdmissionConfig) validate() error {
 	case "", AdmissionNone, AdmissionDeadline, AdmissionProjected, AdmissionShedOrBuy:
 	default:
 		return fmt.Errorf("serve: unknown admission policy %q (want one of %v)", a.Policy, AdmissionPolicyNames)
-	}
-	c := a.withDefaults()
-	if c.Target < 0 || c.Target > 1 || c.Relax < 0 || c.Relax > 1 {
-		return fmt.Errorf("serve: admission thresholds target=%.2f relax=%.2f outside [0, 1]", c.Target, c.Relax)
-	}
-	if c.Relax < c.Target {
-		return fmt.Errorf("serve: admission relax %.2f below target %.2f (hysteresis would invert)", c.Relax, c.Target)
 	}
 	return nil
 }
@@ -425,15 +403,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:   cfg,
 		alloc: kvcache.NewAllocator(cfg.BlockTokens, capTokens/cfg.BlockTokens),
 	}
-	if pc := cfg.PrefixCache; pc != nil {
-		capTok := pc.CapacityTokens
-		if capTok == 0 {
-			capTok = e.KVCapacityTokens()
-		}
-		e.pcache = newLRU(capTok, 0)
+	if cfg.PrefixCache != nil {
+		// The cache cannot remember more prefix than the replica can hold.
+		e.pcache = newLRU(e.KVCapacityTokens(), 0)
 	}
 	if cfg.Admission.enabled() {
-		e.admission = &admissionState{cfg: cfg.Admission.withDefaults()}
+		e.admission = &admissionState{cfg: *cfg.Admission}
 	}
 	return e, nil
 }
@@ -451,19 +426,7 @@ func (e *Engine) Run(reqs []workload.Request) []RequestMetrics {
 	if t := e.tap; t != nil && t.recordIters && t.iters == nil {
 		t.iters = make([]IterEvent, 0, eventCapHint(reqs))
 	}
-	for !e.finished() {
-		e.admit()
-		plan := e.schedule()
-		if plan.empty() {
-			if !e.resolveEmpty() && e.nextArrival() >= 0 {
-				// Idle: jump to the next arrival.
-				e.now = e.arrivals[e.nextIdx].Arrival
-			}
-			continue
-		}
-		cost := e.price(&plan)
-		e.apply(plan, cost, e.now+cost.Total())
-	}
+	e.stepUntil(noHorizon, true)
 	return e.metrics(reqs)
 }
 
@@ -835,10 +798,10 @@ func (e *Engine) shedPass() {
 			att = float64(total-infeasible) / float64(total)
 		}
 		if st.shedding {
-			if att >= st.cfg.Relax {
+			if att >= admissionRelax {
 				st.shedding = false
 			}
-		} else if att < st.cfg.Target {
+		} else if att < admissionTarget {
 			st.shedding = true
 		}
 		shed = st.shedding

@@ -111,6 +111,33 @@ func TestGeoOutageParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestCrashRetryBound pins the crash-retry bound: a plan that only
+// schedules crashes still retries lost work, and a request lost more
+// than maxRetries times terminates as crash-dropped with exactly
+// maxRetries retries recorded.
+func TestCrashRetryBound(t *testing.T) {
+	tr := &workload.Trace{Name: "retry-bound", Requests: []workload.Request{
+		{ID: 0, InputTokens: 512, OutputTokens: 100_000},
+	}}
+	plan := &workload.FaultPlan{}
+	for i := 0; i <= maxRetries; i++ {
+		at := time.Duration(10+30*i) * time.Second
+		plan.Crashes = append(plan.Crashes, workload.ReplicaCrash{At: at, Restart: at + 5*time.Second})
+	}
+	cl := SingleEngine("retry-bound", gpu1Cfg(llamaCM(t)))
+	cl.Faults = plan
+	res, err := cl.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.PerRequest[0]
+	if !m.Rejected || m.RejectReason != RejectCrashDropped || m.Retries != maxRetries {
+		t.Fatalf("request ended rejected=%v reason=%q retries=%d, want crash-dropped after %d retries",
+			m.Rejected, m.RejectReason, m.Retries, maxRetries)
+	}
+	checkConservation(t, tr, res)
+}
+
 // checkConservation asserts the fault tier's conservation property:
 // every trace request reaches exactly one terminal outcome — served,
 // rejected with a named reason, or crash-dropped after its retries —
@@ -124,8 +151,8 @@ func checkConservation(t *testing.T, tr *workload.Trace, res *Result) {
 		if m.Rejected && m.RejectReason == "" {
 			t.Fatalf("request %d rejected without a named reason", m.ID)
 		}
-		if m.Retries > workload.DefaultMaxRetries {
-			t.Fatalf("request %d retried %d times, budget %d", m.ID, m.Retries, workload.DefaultMaxRetries)
+		if m.Retries > maxRetries {
+			t.Fatalf("request %d retried %d times, budget %d", m.ID, m.Retries, maxRetries)
 		}
 	}
 	for _, r := range tr.Requests {

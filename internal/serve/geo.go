@@ -255,25 +255,20 @@ func (leastLoadedGlobal) Route(_ workload.Request, origin int, regions []RegionV
 // round trip plus projected wait of a remote region. This is the
 // RTT-vs-cold-start break-even the ROADMAP calls out: during a burst a
 // warm remote fleet an RTT away beats local capacity that is still 60
-// seconds from its first token.
-type SpillOverRouter struct {
-	// PriorRate floors the per-replica service-rate estimate (tokens/sec
-	// per active replica). The measured rate integrates idle time and so
-	// only ever underestimates capacity; the projection uses
-	// max(measured, prior). Calibrate it to the replica's saturated
-	// throughput on the deployment's request sizes.
-	PriorRate float64
-	// QueueHigh is the local queued-requests-per-active-replica level at
-	// or above which local relief is assumed to need a cold start (the
-	// autoscaler's scale-up territory).
-	QueueHigh float64
-}
+// seconds from its first token. Local relief is assumed to need a cold
+// start once the local queue reaches the queue-depth autoscaler's
+// scale-up threshold (queueHigh queued requests per active replica).
+type SpillOverRouter struct{}
 
-// NewSpillOverRouter returns the spill-over policy with its defaults: a
-// 5000 tok/s per-replica rate floor (a single-GPU Llama-70B replica's
-// measured peak on ~1k-token interactive requests) and the queue-depth
-// autoscaler's default scale-up threshold of 4 queued per replica.
-func NewSpillOverRouter() GeoRouter { return &SpillOverRouter{PriorRate: 5000, QueueHigh: 4} }
+// priorRate floors the per-replica service-rate estimate (tokens/sec per
+// active replica) of the spill-over and cloud-overflow projections: a
+// single-GPU Llama-70B replica's measured peak on ~1k-token interactive
+// requests. The measured rate integrates idle time and so only ever
+// underestimates capacity; the projection uses max(measured, prior).
+const priorRate = 5000
+
+// NewSpillOverRouter returns the spill-over policy.
+func NewSpillOverRouter() GeoRouter { return &SpillOverRouter{} }
 
 // Name implements GeoRouter.
 func (*SpillOverRouter) Name() string { return "spill-over" }
@@ -283,13 +278,7 @@ func (*SpillOverRouter) Name() string { return "spill-over" }
 // burst into running long before queues form — over the service-rate
 // estimate times the active fleet.
 func (s *SpillOverRouter) wait(v RegionView) float64 {
-	rate := v.MeasuredRate
-	if rate < s.PriorRate {
-		rate = s.PriorRate
-	}
-	if rate <= 0 {
-		rate = 1 // defensive: a zero prior and no measurements
-	}
+	rate := max(v.MeasuredRate, priorRate)
 	active := v.Active
 	if active < 1 {
 		active = 1
@@ -342,7 +331,7 @@ func (s *SpillOverRouter) pick(origin int, regions []RegionView, ignoreBreakers 
 	if active < 1 {
 		active = 1
 	}
-	if float64(local.QueuedRequests)/float64(active) >= s.QueueHigh {
+	if float64(local.QueuedRequests)/float64(active) >= queueHigh {
 		// The local queue is in scale-up territory: relief costs a cold
 		// start — or the remainder of one already under way.
 		pen := local.ColdStart
@@ -414,15 +403,11 @@ type Geo struct {
 	// multi-region outage requests park at the geo balancer until any
 	// region recovers.
 	Faults *workload.FaultPlan
-	// Health, when set, overrides the per-region health-check tier
-	// defaults; see HealthConfig. Setting it without Faults enables the
-	// tier (probes simply never fail).
-	Health *HealthConfig
 	// Breakers, when set, wraps every replica AND every region in a
 	// circuit breaker: replica breakers steer each region's local
 	// router, region breakers steer breaker-aware geo routers
 	// (spill-over) around a shedding or crashing region. Composes with
-	// the Health tier; nil keeps the legacy routing path byte-for-byte.
+	// the health tier; nil keeps the legacy routing path byte-for-byte.
 	Breakers *BreakerConfig
 	// SharedCache, when set, answers repeated prompts (requests sharing
 	// a PromptKey) at the geo balancer after the configured latency,
@@ -631,14 +616,12 @@ type geoCrashEvent struct {
 // pending queue (work arriving while every region is dark), and the
 // drop records.
 type geoFaults struct {
-	maxRetries int
-	retry      *retrier // nil: legacy immediate retries
-	crashes    []geoCrashEvent
-	nextCrash  int
-	probeEvery time.Duration
-	nextProbe  time.Duration
-	pending    []workload.Request
-	dropped    []RequestMetrics
+	retry     *retrier // nil: legacy immediate retries
+	crashes   []geoCrashEvent
+	nextCrash int
+	nextProbe time.Duration
+	pending   []workload.Request
+	dropped   []RequestMetrics
 	// bal is the geo balancer's obs track (nil when tracing is off).
 	bal *obs.Stream
 }
@@ -709,9 +692,6 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 	if r, ok := router.(resettable); ok {
 		r.reset()
 	}
-	if err := g.Breakers.validate(); err != nil {
-		return nil, err
-	}
 	if err := g.SharedCache.validate(); err != nil {
 		return nil, err
 	}
@@ -737,9 +717,8 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 	// home region, topology index 0) and build the cross-region crash
 	// schedule and shared probe clock before any fleet spawns, so
 	// degrade windows and outage darkness apply to the initial fleets.
-	faultsOn := g.Faults != nil || g.Health != nil
+	faultsOn := g.Faults != nil
 	var gf *geoFaults
-	var hc HealthConfig
 	resolve := func(region string) (int, error) {
 		if region == "" {
 			return 0, nil
@@ -753,46 +732,31 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 		if err := g.Faults.Validate(); err != nil {
 			return nil, err
 		}
-		if g.Health != nil {
-			hc = *g.Health
-		}
-		if err := hc.validate(); err != nil {
-			return nil, err
-		}
-		hc = hc.withDefaults()
-		gf = &geoFaults{
-			maxRetries: g.Faults.Retries(),
-			probeEvery: hc.ProbeInterval,
-			nextProbe:  hc.ProbeInterval,
-			bal:        geoBal,
-		}
-		if g.Faults != nil {
-			gf.retry = newRetrier(g.Faults.Retry)
-			for _, c := range g.Faults.Crashes {
-				ri, err := resolve(c.Region)
-				if err != nil {
-					return nil, err
-				}
-				gf.crashes = append(gf.crashes, geoCrashEvent{
-					ev: crashEvent{at: c.At, restart: c.Restart, replica: c.Replica}, region: ri,
-				})
+		gf = &geoFaults{nextProbe: probeInterval, bal: geoBal, retry: newRetrier(g.Faults.Retry)}
+		for _, c := range g.Faults.Crashes {
+			ri, err := resolve(c.Region)
+			if err != nil {
+				return nil, err
 			}
-			for _, o := range g.Faults.Outages {
-				ri, err := resolve(o.Region)
-				if err != nil {
-					return nil, err
-				}
-				gf.crashes = append(gf.crashes, geoCrashEvent{
-					ev: crashEvent{at: o.Start, restart: o.End, outage: true}, region: ri,
-				})
-			}
-			sort.SliceStable(gf.crashes, func(i, j int) bool {
-				if gf.crashes[i].ev.at != gf.crashes[j].ev.at {
-					return gf.crashes[i].ev.at < gf.crashes[j].ev.at
-				}
-				return gf.crashes[i].region < gf.crashes[j].region
+			gf.crashes = append(gf.crashes, geoCrashEvent{
+				ev: crashEvent{at: c.At, restart: c.Restart, replica: c.Replica}, region: ri,
 			})
 		}
+		for _, o := range g.Faults.Outages {
+			ri, err := resolve(o.Region)
+			if err != nil {
+				return nil, err
+			}
+			gf.crashes = append(gf.crashes, geoCrashEvent{
+				ev: crashEvent{at: o.Start, restart: o.End, outage: true}, region: ri,
+			})
+		}
+		sort.SliceStable(gf.crashes, func(i, j int) bool {
+			if gf.crashes[i].ev.at != gf.crashes[j].ev.at {
+				return gf.crashes[i].ev.at < gf.crashes[j].ev.at
+			}
+			return gf.crashes[i].region < gf.crashes[j].region
+		})
 	}
 
 	runs := make([]*regionRun, len(g.Regions))
@@ -834,16 +798,13 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 		}
 		if faultsOn {
 			fleet.faultsOn = true
-			fleet.health = hc
-			if g.Faults != nil {
-				for _, d := range g.Faults.Degrades {
-					ri, err := resolve(d.Region)
-					if err != nil {
-						return nil, err
-					}
-					if ri == i {
-						fleet.degrades = append(fleet.degrades, d)
-					}
+			for _, d := range g.Faults.Degrades {
+				ri, err := resolve(d.Region)
+				if err != nil {
+					return nil, err
+				}
+				if ri == i {
+					fleet.degrades = append(fleet.degrades, d)
 				}
 			}
 		}
@@ -855,7 +816,7 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 		}
 		runs[i] = &regionRun{name: name, fleet: fleet, router: local, ac: ac, nextEval: ac.Interval}
 		if g.Breakers != nil && !single {
-			runs[i].breaker = newBreaker(*g.Breakers)
+			runs[i].breaker = &breaker{}
 		}
 	}
 
@@ -1019,7 +980,7 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 			gf.nextCrash++
 			lost = runs[gce.region].fleet.applyCrashEvent(gce.ev, now)
 		case evProbe:
-			gf.nextProbe += gf.probeEvery
+			gf.nextProbe += probeInterval
 			for _, rr := range runs {
 				lost = append(lost, rr.fleet.probeAll(now)...)
 			}
@@ -1035,7 +996,7 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 		}
 		for _, r := range lost {
 			sub := r.SubmittedAt()
-			if r.Retries >= gf.maxRetries {
+			if r.Retries >= maxRetries {
 				gf.dropped = append(gf.dropped, crashDroppedMetrics(r, ""))
 				geoBal.Event(now, obs.EvDrop, r.ID, "retry-budget")
 				continue

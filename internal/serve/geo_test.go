@@ -162,9 +162,10 @@ func TestGeoRTTInflation(t *testing.T) {
 }
 
 // TestSpillOverBreakEven unit-tests the policy's decision rule around
-// the RTT-vs-queue-wait-plus-cold-start break-even.
+// the RTT-vs-queue-wait-plus-cold-start break-even, stated through the
+// rate prior and the queue-depth scale-up threshold.
 func TestSpillOverBreakEven(t *testing.T) {
-	r := &SpillOverRouter{PriorRate: 1000, QueueHigh: 4}
+	r := NewSpillOverRouter()
 	route := func(views []RegionView) int {
 		return r.Route(workload.Request{}, 0, views)
 	}
@@ -174,6 +175,8 @@ func TestSpillOverBreakEven(t *testing.T) {
 			{Index: 1, Name: "remote", Active: 2, NextReadyIn: -1, RTT: 200 * time.Millisecond},
 		}
 	}
+	// tok is the backlog two replicas at the prior rate drain in sec.
+	tok := func(sec float64) int { return int(sec * 2 * priorRate) }
 
 	// Both idle: stay local; the RTT buys nothing.
 	if got := route(idle()); got != 0 {
@@ -183,8 +186,8 @@ func TestSpillOverBreakEven(t *testing.T) {
 	// Local queue below the scale-up threshold but non-trivial (6s of
 	// work vs a 200ms RTT): remote wins on projected wait alone.
 	v := idle()
-	v[0].QueuedRequests = 6 // 3 per active replica < QueueHigh
-	v[0].QueuedTokens = 12000
+	v[0].QueuedRequests = 2 * (queueHigh - 1)
+	v[0].QueuedTokens = tok(6)
 	if got := route(v); got != 1 {
 		t.Fatalf("6s local backlog vs 200ms RTT routed to %d, want remote", got)
 	}
@@ -192,44 +195,44 @@ func TestSpillOverBreakEven(t *testing.T) {
 	// Tiny local backlog (150ms of work): cheaper than the round trip.
 	v = idle()
 	v[0].QueuedRequests = 2
-	v[0].QueuedTokens = 300
+	v[0].QueuedTokens = tok(0.15)
 	if got := route(v); got != 0 {
 		t.Fatalf("150ms local backlog routed to %d, want local", got)
 	}
 
-	// Queue past the scale-up threshold adds the cold start to the local
+	// Queue at the scale-up threshold adds the cold start to the local
 	// cost: 4s of queue + 60s cold start loses to RTT + an idle remote.
 	v = idle()
-	v[0].QueuedRequests = 8 // 4 per active replica = QueueHigh
-	v[0].QueuedTokens = 8000
+	v[0].QueuedRequests = 2 * queueHigh
+	v[0].QueuedTokens = tok(4)
 	if got := route(v); got != 1 {
 		t.Fatalf("cold-start break-even routed to %d, want remote", got)
 	}
 
 	// Same, but the remote is drowning too: stay local.
-	v[1].QueuedTokens = 200_000 // 100s of remote work
+	v[1].QueuedTokens = tok(100)
 	if got := route(v); got != 0 {
 		t.Fatalf("drowning remote routed to %d, want local", got)
 	}
 
 	// A warming local replica nearly ready caps the cold-start penalty:
 	// 8s local (4s queue + 4s warmup) beats 200ms + 10s remote backlog.
-	v[1].QueuedTokens = 20_000
+	v[1].QueuedTokens = tok(10)
 	v[0].Warming, v[0].NextReadyIn = 1, 4*time.Second
 	if got := route(v); got != 0 {
 		t.Fatalf("nearly-warm local fleet routed to %d, want local", got)
 	}
 
-	// The measured rate overrides the prior: 3000 queued tokens project
-	// 1.5s of wait at the 1000 tok/s prior (spill), but only 150ms on a
-	// measured 10k tok/s fleet (stay local).
+	// The measured rate overrides the prior: a backlog that projects
+	// 1.5s of wait at the prior (spill) projects only 150ms on a fleet
+	// measured at ten times the prior (stay local).
 	v = idle()
-	v[0].QueuedRequests = 6
-	v[0].QueuedTokens = 3000
+	v[0].QueuedRequests = 2 * (queueHigh - 1)
+	v[0].QueuedTokens = tok(1.5)
 	if got := route(v); got != 1 {
 		t.Fatalf("prior-rate backlog routed to %d, want remote", got)
 	}
-	v[0].MeasuredRate = 10000
+	v[0].MeasuredRate = 10 * priorRate
 	if got := route(v); got != 0 {
 		t.Fatalf("fast measured fleet routed to %d, want local", got)
 	}

@@ -97,7 +97,7 @@ func goldenCells() []goldenCell {
 					},
 					Retry: &workload.RetryPolicy{Jitter: 0.5, Seed: 3, BudgetRatio: 0.3},
 				}
-				cl.Breakers = &BreakerConfig{FailThreshold: 3, OpenFor: 4 * time.Second}
+				cl.Breakers = &BreakerConfig{}
 				return cl
 			},
 			want: "6790599c8ab2ae31d65a9e52a3d28ad60c9750b1427c7c0cc6b4b527ecaee76c",
@@ -109,7 +109,7 @@ func goldenCells() []goldenCell {
 			},
 			build: func(cm *perf.CostModel) Cluster {
 				cfg := goldenOneGPU(cm)
-				cfg.PrefixCache = &PrefixCacheConfig{ShareFraction: 0.5, CapacityTokens: 1 << 16}
+				cfg.PrefixCache = &PrefixCacheConfig{ShareFraction: 0.5}
 				cl := goldenFleet(cm, "g-shared", cfg, 2, "queue-depth")
 				cl.Router = NewCacheAwareRouter()
 				cl.SharedCache = &SharedCacheConfig{Latency: 20 * time.Millisecond}

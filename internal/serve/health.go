@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -10,57 +9,19 @@ import (
 	"repro/internal/workload"
 )
 
-// Health-tier defaults: probe every second, eject after three
-// consecutive failed probes, readmit ten seconds after the machine is
-// back — the rigrun-style ejection/readmission loop.
+// Health-tier tunings. The router keeps sending traffic to a crashed
+// replica (a black hole) until probeFailLimit consecutive probes — one
+// sweep every probeInterval — have failed; ejection then drains the
+// black-holed requests back to the router for retry. A recovered
+// replica is readmitted to the routing set healthCooldown after its
+// ejection ends (the machine must be back up and the cooldown elapsed):
+// the rigrun-style ejection/readmission loop. The tier is on whenever a
+// FaultPlan is present.
 const (
-	DefaultProbeInterval  = time.Second
-	DefaultFailThreshold  = 3
-	DefaultHealthCooldown = 10 * time.Second
+	probeInterval  = time.Second
+	probeFailLimit = 3
+	healthCooldown = 10 * time.Second
 )
-
-// HealthConfig is the router-side health-check tier. The router keeps
-// sending traffic to a crashed replica (a black hole) until
-// FailThreshold consecutive probes — one sweep every ProbeInterval —
-// have failed; ejection then drains the black-holed requests back to
-// the router for retry. A recovered replica is readmitted to the
-// routing set Cooldown after its ejection ends (the machine must be
-// back up and the cooldown elapsed). The tier is forced on, with
-// these defaults, whenever a FaultPlan is present.
-type HealthConfig struct {
-	// ProbeInterval is the health-sweep period; 0 means
-	// DefaultProbeInterval.
-	ProbeInterval time.Duration
-	// FailThreshold is the consecutive failed probes before ejection;
-	// 0 means DefaultFailThreshold.
-	FailThreshold int
-	// Cooldown is the recovered-to-readmitted delay; 0 means
-	// DefaultHealthCooldown.
-	Cooldown time.Duration
-}
-
-func (h HealthConfig) withDefaults() HealthConfig {
-	if h.ProbeInterval <= 0 {
-		h.ProbeInterval = DefaultProbeInterval
-	}
-	if h.FailThreshold <= 0 {
-		h.FailThreshold = DefaultFailThreshold
-	}
-	if h.Cooldown <= 0 {
-		h.Cooldown = DefaultHealthCooldown
-	}
-	return h
-}
-
-func (h HealthConfig) validate() error {
-	if h.ProbeInterval < 0 || h.Cooldown < 0 {
-		return fmt.Errorf("serve: negative health-tier durations (probe %v, cooldown %v)", h.ProbeInterval, h.Cooldown)
-	}
-	if h.FailThreshold < 0 {
-		return fmt.Errorf("serve: negative health fail threshold %d", h.FailThreshold)
-	}
-	return nil
-}
 
 // refreshLive consumes the live-load cursors: completions and
 // rejections since the last refresh come off the replica's live
@@ -188,7 +149,7 @@ func (f *fleetState) probeAll(now time.Duration) []workload.Request {
 		}
 		if rep.down {
 			rep.probeFails++
-			if !rep.ejected && rep.probeFails >= f.health.FailThreshold {
+			if !rep.ejected && rep.probeFails >= probeFailLimit {
 				rep.ejected = true
 				rep.ejectedAt = now
 				f.ejections++
@@ -204,7 +165,7 @@ func (f *fleetState) probeAll(now time.Duration) []workload.Request {
 			continue
 		}
 		rep.probeFails = 0
-		if rep.ejected && now-rep.ejectedAt >= f.health.Cooldown {
+		if rep.ejected && now-rep.ejectedAt >= healthCooldown {
 			rep.ejected = false
 			f.readmissions++
 			f.relevel(rep)
@@ -297,6 +258,14 @@ type delayedRetry struct {
 	req workload.Request
 }
 
+// maxRetries bounds how many times a request lost to a replica crash is
+// re-submitted before it is dropped with a named rejection.
+const maxRetries = 3
+
+// retryBudgetBurst is the retry budget's bucket capacity and starting
+// level, in retries (consulted only when RetryPolicy.BudgetRatio is set).
+const retryBudgetBurst = 10
+
 // retrier implements the controller-side retry discipline of a
 // workload.RetryPolicy: exponential backoff with deterministic seeded
 // jitter, and a token-bucket budget replenished by fresh admissions. A
@@ -309,7 +278,6 @@ type retrier struct {
 	cap     time.Duration
 	rng     *tensor.RNG // jitter stream; nil when Jitter == 0
 	tokens  float64
-	burst   float64
 	delayed []delayedRetry
 	seq     int
 	// waited sums the backoff delay imposed across all retries
@@ -326,8 +294,7 @@ func newRetrier(p *workload.RetryPolicy) *retrier {
 		rt.rng = tensor.NewRNG(p.Seed ^ 0x9e3779b97f4a7c15)
 	}
 	if p.BudgetRatio > 0 {
-		rt.burst = float64(p.Burst())
-		rt.tokens = rt.burst
+		rt.tokens = retryBudgetBurst
 	}
 	return rt
 }
@@ -338,8 +305,8 @@ func (rt *retrier) noteAdmission() {
 		return
 	}
 	rt.tokens += rt.policy.BudgetRatio
-	if rt.tokens > rt.burst {
-		rt.tokens = rt.burst
+	if rt.tokens > retryBudgetBurst {
+		rt.tokens = retryBudgetBurst
 	}
 }
 

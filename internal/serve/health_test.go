@@ -16,7 +16,6 @@ func healthFleet(t *testing.T, n int) *fleetState {
 		name:     "health",
 		workers:  1,
 		faultsOn: true,
-		health:   HealthConfig{}.withDefaults(),
 	}
 	for i := 0; i < n; i++ {
 		if err := f.spawn(Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 0, 0); err != nil {
@@ -31,12 +30,12 @@ func healthFleet(t *testing.T, n int) *fleetState {
 func eject(t *testing.T, f *fleetState, rep *replica, from time.Duration) time.Duration {
 	t.Helper()
 	now := from
-	for i := 0; i < f.health.FailThreshold; i++ {
-		now += f.health.ProbeInterval
+	for i := 0; i < probeFailLimit; i++ {
+		now += probeInterval
 		f.probeAll(now)
 	}
 	if !rep.ejected {
-		t.Fatalf("replica not ejected after %d failed probes", f.health.FailThreshold)
+		t.Fatalf("replica not ejected after %d failed probes", probeFailLimit)
 	}
 	return now
 }
@@ -54,20 +53,20 @@ func TestProbeDuringCooldownNotReadmitted(t *testing.T) {
 
 	// The machine comes back at 8s; every healthy probe before
 	// ejectedAt+Cooldown must leave it ejected.
-	for now := restart; now < ejectedAt+f.health.Cooldown; now += f.health.ProbeInterval {
+	for now := restart; now < ejectedAt+healthCooldown; now += probeInterval {
 		f.probeAll(now)
 		if rep.down {
 			t.Fatalf("machine still down at %v despite restart at %v", now, restart)
 		}
 		if !rep.ejected {
 			t.Fatalf("readmitted at %v, %v before the cooldown expired",
-				now, ejectedAt+f.health.Cooldown-now)
+				now, ejectedAt+healthCooldown-now)
 		}
 	}
 	if f.readmissions != 0 {
 		t.Fatalf("readmissions = %d during cooldown, want 0", f.readmissions)
 	}
-	f.probeAll(ejectedAt + f.health.Cooldown)
+	f.probeAll(ejectedAt + healthCooldown)
 	if rep.ejected || f.readmissions != 1 {
 		t.Fatalf("probe at cooldown expiry: ejected=%v readmissions=%d, want false/1",
 			rep.ejected, f.readmissions)

@@ -15,37 +15,42 @@ import (
 // cycle: threshold trips, window-gated half-opening, probe-counted
 // closing, and the instant re-trip on a half-open failure.
 func TestBreakerStateMachine(t *testing.T) {
-	b := newBreaker(BreakerConfig{FailThreshold: 3, OpenFor: 5 * time.Second, HalfOpenProbes: 2})
+	b := &breaker{}
 	if b.state != breakerClosed {
 		t.Fatal("breaker must start closed")
 	}
-	// Two failures stay closed; a served success resets the streak.
-	b.failure(0)
-	b.failure(0)
+	// Failures below the threshold stay closed; a served success resets
+	// the streak.
+	for i := 1; i < breakerFailLimit; i++ {
+		b.failure(0)
+	}
 	b.success()
-	b.failure(time.Second)
-	if b.failure(time.Second) {
-		t.Fatal("tripped below threshold (success must reset the streak)")
+	for i := 1; i < breakerFailLimit; i++ {
+		if b.failure(time.Second) {
+			t.Fatal("tripped below threshold (success must reset the streak)")
+		}
 	}
 	if !b.failure(2 * time.Second) {
-		t.Fatal("third consecutive failure must trip")
+		t.Fatalf("failure %d in a row must trip", breakerFailLimit)
 	}
 	if b.state != breakerOpen || b.opens != 1 {
 		t.Fatalf("state=%v opens=%d after trip, want open/1", b.state, b.opens)
 	}
 	// Open diverts until the window lapses, then half-opens.
-	if b.allow(4 * time.Second) {
+	if b.allow(2*time.Second + breakerOpenFor - 1) {
 		t.Fatal("open breaker allowed traffic inside its window")
 	}
-	if !b.allow(8 * time.Second) {
+	if !b.allow(2*time.Second + breakerOpenFor) {
 		t.Fatal("breaker must half-open once the window lapses")
 	}
 	if b.state != breakerHalfOpen {
 		t.Fatalf("state=%v after window lapse, want half-open", b.state)
 	}
-	// One probe success is not enough; the second closes.
-	if b.success() {
-		t.Fatal("closed below the probe threshold")
+	// Probe successes below the threshold are not enough; the last closes.
+	for i := 1; i < breakerProbes; i++ {
+		if b.success() {
+			t.Fatalf("closed after %d of %d probe successes", i, breakerProbes)
+		}
 	}
 	if !b.success() {
 		t.Fatal("enough probe successes must close")
@@ -58,15 +63,15 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.trip(10 * time.Second) {
 		t.Fatal("crash trip on a closed breaker must transition")
 	}
-	b.allow(20 * time.Second) // half-open
-	if !b.failure(20 * time.Second) {
+	b.allow(10*time.Second + breakerOpenFor) // half-open
+	if !b.failure(10*time.Second + breakerOpenFor) {
 		t.Fatal("half-open failure must re-trip instantly")
 	}
 	if b.opens != 3 {
 		t.Fatalf("opens=%d, want 3 lifetime transitions", b.opens)
 	}
 	// Re-tripping an already-open breaker refreshes the window only.
-	if b.trip(21 * time.Second) {
+	if b.trip(11*time.Second + breakerOpenFor) {
 		t.Fatal("tripping an open breaker is not a transition")
 	}
 	if b.opens != 3 {
@@ -76,13 +81,15 @@ func TestBreakerStateMachine(t *testing.T) {
 
 // --- retrier discipline ---
 
-// TestRetrierBudget pins the token bucket: it starts at burst, every
-// retry spends one token, fresh admissions refill at the ratio, and
-// the level never exceeds burst.
+// TestRetrierBudget pins the token bucket: it starts at
+// retryBudgetBurst, every retry spends one token, fresh admissions
+// refill at the ratio, and the level never exceeds the burst.
 func TestRetrierBudget(t *testing.T) {
-	rt := newRetrier(&workload.RetryPolicy{BudgetRatio: 0.5, BudgetBurst: 2})
-	if !rt.take() || !rt.take() {
-		t.Fatal("burst tokens must be spendable immediately")
+	rt := newRetrier(&workload.RetryPolicy{BudgetRatio: 0.5})
+	for i := 0; i < retryBudgetBurst; i++ {
+		if !rt.take() {
+			t.Fatalf("burst token %d of %d must be spendable immediately", i+1, retryBudgetBurst)
+		}
 	}
 	if rt.take() {
 		t.Fatal("empty bucket must refuse")
@@ -98,8 +105,8 @@ func TestRetrierBudget(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rt.noteAdmission()
 	}
-	if rt.tokens > float64(rt.policy.BudgetBurst) {
-		t.Fatalf("bucket level %.1f exceeds burst %d", rt.tokens, rt.policy.BudgetBurst)
+	if rt.tokens > retryBudgetBurst {
+		t.Fatalf("bucket level %.1f exceeds burst %d", rt.tokens, retryBudgetBurst)
 	}
 	// Without a budget every take succeeds; nil retrier likewise.
 	unbudgeted := newRetrier(&workload.RetryPolicy{})
@@ -255,7 +262,7 @@ func overloadCluster(cm *perf.CostModel, p int) Cluster {
 	cl.Lockstep = false
 	cl.Parallelism = p
 	cl.Router = NewLiveLeastLoadedRouter()
-	cl.Breakers = &BreakerConfig{FailThreshold: 3, OpenFor: 4 * time.Second}
+	cl.Breakers = &BreakerConfig{}
 	cl.Faults = &workload.FaultPlan{
 		Crashes: []workload.ReplicaCrash{
 			{Replica: 0, At: 16 * time.Second, Restart: 30 * time.Second},
@@ -264,7 +271,7 @@ func overloadCluster(cm *perf.CostModel, p int) Cluster {
 		},
 		Retry: &workload.RetryPolicy{
 			BackoffBase: time.Second, BackoffCap: 8 * time.Second,
-			Jitter: 0.5, Seed: 99, BudgetRatio: 0.2, BudgetBurst: 5,
+			Jitter: 0.5, Seed: 99, BudgetRatio: 0.2,
 		},
 	}
 	return cl
@@ -370,7 +377,7 @@ func TestRetryConservationGeo(t *testing.T) {
 			},
 			Retry: &workload.RetryPolicy{
 				BackoffBase: 500 * time.Millisecond, BackoffCap: 4 * time.Second,
-				Jitter: 0.5, Seed: 7, BudgetRatio: 0.5, BudgetBurst: 8,
+				Jitter: 0.5, Seed: 7, BudgetRatio: 0.5,
 			},
 		},
 		Parallelism: 2,
@@ -413,7 +420,7 @@ func TestGeoOverloadParallelMatchesSerial(t *testing.T) {
 			Topology: UniformTopology(120*time.Millisecond, "west", "east"),
 			Regions:  regions,
 			Router:   NewSpillOverRouter(),
-			Breakers: &BreakerConfig{FailThreshold: 2, OpenFor: 3 * time.Second},
+			Breakers: &BreakerConfig{},
 			Faults: &workload.FaultPlan{
 				Outages: []workload.RegionOutage{
 					{Region: "west", Start: 10 * time.Second, End: 20 * time.Second},

@@ -11,8 +11,9 @@ import (
 // PrefixCacheConfig replaces the assumed Config.PrefixCacheHitRate with
 // a measured per-replica prefix cache: each engine tracks which cache
 // keys (Request.CacheKey: session, else prompt key) it has actually
-// served, in a bounded LRU charged by prompt tokens against the
-// replica's KV budget. A request hits only when its key previously
+// served, in an LRU bounded by the replica's KV capacity (the cache
+// cannot remember more prefix than the replica can hold) and charged by
+// prompt tokens. A request hits only when its key previously
 // landed on the same replica and has not been evicted since — so the
 // benefit of affinity routing is emergent, not configured. When
 // PrefixCache is set, PrefixCacheHitRate is ignored; when nil, the
@@ -23,10 +24,6 @@ type PrefixCacheConfig struct {
 	// KV blocks), in [0, 1) — the measured sibling of the assumed
 	// PrefixCacheHitRate.
 	ShareFraction float64
-	// CapacityTokens bounds the LRU by the total prompt tokens of
-	// resident keys. 0 sizes it to the replica's KV capacity — the cache
-	// cannot remember more prefix than the replica can hold.
-	CapacityTokens int
 }
 
 func (c *PrefixCacheConfig) validate() error {
@@ -36,16 +33,14 @@ func (c *PrefixCacheConfig) validate() error {
 	if c.ShareFraction < 0 || c.ShareFraction >= 1 {
 		return fmt.Errorf("serve: prefix cache share fraction %v outside [0, 1)", c.ShareFraction)
 	}
-	if c.CapacityTokens < 0 {
-		return fmt.Errorf("serve: prefix cache capacity %d negative", c.CapacityTokens)
-	}
 	return nil
 }
 
 // SharedCacheConfig enables the fleet-level shared cache tier on a
 // Cluster or Geo: requests carrying a PromptKey that the tier has seen
 // before are answered at the balancer after Latency, never reaching an
-// engine (rigrun-style cache-first routing). Keyless requests bypass
+// engine (rigrun-style cache-first routing). The tier remembers the
+// sharedCacheEntries most recently used keys. Keyless requests bypass
 // the tier untouched; a retry re-entering routing after a crash also
 // bypasses it (the tier answers fresh arrivals, not salvage traffic).
 type SharedCacheConfig struct {
@@ -53,14 +48,10 @@ type SharedCacheConfig struct {
 	// TTFT and Completion both equal Latency (the answer returns whole,
 	// so TPOT is zero).
 	Latency time.Duration
-	// Entries bounds the LRU by resident key count. 0 means
-	// DefaultSharedCacheEntries.
-	Entries int
 }
 
-// DefaultSharedCacheEntries bounds the shared tier when
-// SharedCacheConfig.Entries is zero.
-const DefaultSharedCacheEntries = 4096
+// sharedCacheEntries bounds the shared tier's LRU by resident key count.
+const sharedCacheEntries = 4096
 
 func (c *SharedCacheConfig) validate() error {
 	if c == nil {
@@ -69,17 +60,7 @@ func (c *SharedCacheConfig) validate() error {
 	if c.Latency < 0 {
 		return fmt.Errorf("serve: shared cache latency %v negative", c.Latency)
 	}
-	if c.Entries < 0 {
-		return fmt.Errorf("serve: shared cache entries %d negative", c.Entries)
-	}
 	return nil
-}
-
-func (c *SharedCacheConfig) entries() int {
-	if c.Entries == 0 {
-		return DefaultSharedCacheEntries
-	}
-	return c.Entries
 }
 
 // lruCache is the bounded recency cache behind both tiers: the
@@ -164,7 +145,7 @@ func newSharedTier(cfg *SharedCacheConfig) *sharedTier {
 	if cfg == nil {
 		return nil
 	}
-	return &sharedTier{cfg: cfg, lru: newLRU(0, cfg.entries())}
+	return &sharedTier{cfg: cfg, lru: newLRU(0, sharedCacheEntries)}
 }
 
 // intercept consults the tier for one arriving request: a hit answers

@@ -133,7 +133,7 @@ type Result struct {
 	RejectedKVExhausted int
 	RejectedUnservable  int
 	// RejectedCrashDropped counts requests the fault controller dropped
-	// after losing them to crashes more than MaxRetries times.
+	// after losing them to crashes more than maxRetries times.
 	RejectedCrashDropped int
 	// Shed counts requests cut by admission control before prefill (a
 	// subset of Rejected, reason "shed"); ShedTokens their total

@@ -5,20 +5,10 @@ import (
 	"time"
 )
 
-// DefaultMaxRetries bounds how many times a request lost to a replica
-// crash is re-submitted before it is dropped with a named rejection.
-const DefaultMaxRetries = 3
-
-// NoRetries is the explicit MaxRetries setting for "drop on first
-// loss": any negative value means zero retries, because the zero value
-// of FaultPlan.MaxRetries keeps meaning DefaultMaxRetries.
-const NoRetries = -1
-
 // Retry-discipline defaults (see RetryPolicy).
 const (
 	DefaultRetryBackoffBase = 250 * time.Millisecond
 	DefaultRetryBackoffCap  = 8 * time.Second
-	DefaultRetryBudgetBurst = 10
 )
 
 // RetryPolicy shapes how crash/outage-lost requests are re-submitted.
@@ -47,13 +37,10 @@ type RetryPolicy struct {
 	// admission adds Ratio tokens to a bucket and every retry spends
 	// one, so sustained retries cannot exceed Ratio of the admission
 	// rate (e.g. 0.1 = retries at most 10% of recent admissions). At an
-	// empty bucket the retry drops instead of re-submitting. Zero
-	// disables the budget.
+	// empty bucket the retry drops instead of re-submitting. The serve
+	// tier fixes the bucket's capacity and starting level. Zero disables
+	// the budget.
 	BudgetRatio float64
-	// BudgetBurst is the bucket's capacity and starting level; zero
-	// means DefaultRetryBudgetBurst (only consulted when BudgetRatio is
-	// set).
-	BudgetBurst int
 }
 
 // Base returns the effective backoff base.
@@ -72,14 +59,6 @@ func (r *RetryPolicy) Cap() time.Duration {
 	return r.BackoffCap
 }
 
-// Burst returns the effective budget burst.
-func (r *RetryPolicy) Burst() int {
-	if r == nil || r.BudgetBurst == 0 {
-		return DefaultRetryBudgetBurst
-	}
-	return r.BudgetBurst
-}
-
 // Validate checks the policy's internal consistency.
 func (r *RetryPolicy) Validate() error {
 	if r == nil {
@@ -96,9 +75,6 @@ func (r *RetryPolicy) Validate() error {
 	}
 	if r.BudgetRatio < 0 {
 		return fmt.Errorf("workload: retry budget ratio %.2f is negative", r.BudgetRatio)
-	}
-	if r.BudgetBurst < 0 {
-		return fmt.Errorf("workload: retry budget burst %d is negative", r.BudgetBurst)
 	}
 	return nil
 }
@@ -142,14 +118,12 @@ type Degrade struct {
 
 // FaultPlan schedules failures against a serving run. The zero value
 // injects nothing. Plans are interpreted by the serve tier's fault
-// controller; all timing is absolute trace time.
+// controller, which also fixes how many times a crash-lost request is
+// re-submitted; all timing is absolute trace time.
 type FaultPlan struct {
 	Crashes  []ReplicaCrash
 	Outages  []RegionOutage
 	Degrades []Degrade
-	// MaxRetries bounds re-submission of crash-lost requests; zero
-	// means DefaultMaxRetries, negative (NoRetries) means none.
-	MaxRetries int
 	// Retry shapes re-submission timing and volume; nil keeps the
 	// legacy immediate-unbudgeted discipline.
 	Retry *RetryPolicy
@@ -158,18 +132,6 @@ type FaultPlan struct {
 // Empty reports whether the plan injects no faults at all.
 func (p *FaultPlan) Empty() bool {
 	return p == nil || (len(p.Crashes) == 0 && len(p.Outages) == 0 && len(p.Degrades) == 0)
-}
-
-// Retries returns the effective retry bound: zero means
-// DefaultMaxRetries, negative (NoRetries) means no retries at all.
-func (p *FaultPlan) Retries() int {
-	switch {
-	case p == nil || p.MaxRetries == 0:
-		return DefaultMaxRetries
-	case p.MaxRetries < 0:
-		return 0
-	}
-	return p.MaxRetries
 }
 
 // Validate checks the plan's internal consistency.

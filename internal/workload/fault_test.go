@@ -5,40 +5,11 @@ import (
 	"time"
 )
 
-// TestFaultPlanRetries pins the three-way MaxRetries contract: the zero
-// value keeps the default bound, NoRetries (any negative) means drop on
-// first loss, and a positive value is taken literally. The zero-value
-// case is load-bearing — a plan that only schedules crashes must retry.
-func TestFaultPlanRetries(t *testing.T) {
-	cases := []struct {
-		name string
-		set  int
-		want int
-	}{
-		{"zero means default", 0, DefaultMaxRetries},
-		{"NoRetries means none", NoRetries, 0},
-		{"positive is literal", 7, 7},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := &FaultPlan{MaxRetries: tc.set}
-			if got := p.Retries(); got != tc.want {
-				t.Fatalf("Retries() = %d, want %d", got, tc.want)
-			}
-		})
-	}
-	var nilPlan *FaultPlan
-	if got := nilPlan.Retries(); got != DefaultMaxRetries {
-		t.Fatalf("nil plan Retries() = %d, want %d", got, DefaultMaxRetries)
-	}
-}
-
 // TestRetryPolicyDefaults pins the nil-safe accessor defaults and the
 // validation boundaries of RetryPolicy.
 func TestRetryPolicyDefaults(t *testing.T) {
 	var nilPolicy *RetryPolicy
-	if nilPolicy.Base() != DefaultRetryBackoffBase || nilPolicy.Cap() != DefaultRetryBackoffCap ||
-		nilPolicy.Burst() != DefaultRetryBudgetBurst {
+	if nilPolicy.Base() != DefaultRetryBackoffBase || nilPolicy.Cap() != DefaultRetryBackoffCap {
 		t.Fatal("nil policy accessors must return the documented defaults")
 	}
 	if err := nilPolicy.Validate(); err != nil {
@@ -53,7 +24,6 @@ func TestRetryPolicyDefaults(t *testing.T) {
 		{BackoffBase: 10 * time.Second, BackoffCap: time.Second},
 		{Jitter: 1.5},
 		{BudgetRatio: -0.1},
-		{BudgetBurst: -1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
