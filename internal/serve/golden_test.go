@@ -12,11 +12,13 @@ import (
 )
 
 // goldenCell is one controlled-Cluster configuration (autoscaled,
-// faulted, or breaker-guarded) with the SHA-256 of its outputs.
+// faulted, or breaker-guarded) with the SHA-256 of its outputs. A cell
+// sets build for a Cluster or geo for a multi-region Geo.
 type goldenCell struct {
 	name   string
 	trace  func(t *testing.T) *workload.Trace
 	build  func(cm *perf.CostModel) Cluster
+	geo    func(cm *perf.CostModel) Geo
 	traced bool
 	want   string
 }
@@ -176,6 +178,49 @@ func goldenCells() []goldenCell {
 			},
 			want: "5a47d03b612619df5ae264ed80318e9709a98626cb8a4995c51170ca30050fb4",
 		},
+		{
+			// Two autoscaled regions under spill-over with region and
+			// replica breakers, shed-or-buy into a budgeted cloud, a
+			// crash-restart in one region and a permanent crash in the
+			// other: pins region breakers, RegionView, spill and the geo
+			// balancer track.
+			name: "geo-two-region",
+			trace: func(t *testing.T) *workload.Trace {
+				return workload.Merge("geo-golden",
+					determinismTrace(t, 202).StampOrigin("", "east"),
+					determinismTrace(t, 252).StampOrigin("", "west"))
+			},
+			traced: true,
+			geo:    goldenGeo,
+			want:   "3e369f149650061a3e40c9055e36788d3982cbce70ad4a954879d126299c84ac",
+		},
+	}
+}
+
+// goldenGeo builds the two-region cell of goldenCells.
+func goldenGeo(cm *perf.CostModel) Geo {
+	region := func(name string) Region {
+		cfg := goldenOneGPU(cm)
+		cfg.Admission = &AdmissionConfig{Policy: AdmissionShedOrBuy}
+		fleet := goldenFleet(cm, name, cfg, 2, "queue-depth")
+		return Region{Configs: fleet.Configs, Router: NewLiveLeastLoadedRouter(), Autoscale: fleet.Autoscale}
+	}
+	cloud := cloudCfg()
+	cloud.MaxSpend = 1
+	return Geo{
+		Name:     "g-geo",
+		Topology: UniformTopology(120*time.Millisecond, "east", "west"),
+		Regions:  []Region{region("east"), region("west")},
+		Router:   NewSpillOverRouter(),
+		Faults: &workload.FaultPlan{
+			Crashes: []workload.ReplicaCrash{
+				{Region: "east", Replica: 0, At: 12 * time.Second, Restart: 22 * time.Second},
+				{Region: "west", Replica: 0, At: 25 * time.Second},
+			},
+			Retry: &workload.RetryPolicy{Jitter: 0.5, Seed: 1, BudgetRatio: 0.3},
+		},
+		Breakers: &BreakerConfig{},
+		Cloud:    cloud,
 	}
 }
 
@@ -187,16 +232,26 @@ func TestControlledClusterGolden(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			tr := c.trace(t)
 			for _, p := range []int{1, 0} {
-				cl := c.build(cm)
-				cl.Parallelism = p
 				var o *obs.Observer
 				if c.traced {
 					o = obs.NewObserver()
-					cl.Obs = o
 				}
-				res, err := cl.Run(tr)
+				var res *Result
+				var err error
+				if c.geo != nil {
+					g := c.geo(cm)
+					g.Parallelism, g.Obs = p, o
+					res, err = g.Run(tr)
+				} else {
+					cl := c.build(cm)
+					cl.Parallelism, cl.Obs = p, o
+					res, err = cl.Run(tr)
+				}
 				if err != nil {
 					t.Fatal(err)
+				}
+				if c.geo != nil {
+					checkGeoGoldenFires(t, res, o)
 				}
 				enc := encodeResult(t, res)
 				if c.traced {
@@ -208,5 +263,25 @@ func TestControlledClusterGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkGeoGoldenFires asserts the multi-region cell exercises what it
+// pins: region or replica breaker transitions and cross-region spill.
+func checkGeoGoldenFires(t *testing.T, res *Result, o *obs.Observer) {
+	t.Helper()
+	breakerEvents := 0
+	for _, ev := range o.Events() {
+		switch ev.Kind {
+		case obs.EvBreakerOpen, obs.EvBreakerHalfOpen, obs.EvBreakerClose:
+			breakerEvents++
+		}
+	}
+	spills := 0
+	for _, st := range res.RegionStats {
+		spills += st.SpillIn
+	}
+	if breakerEvents == 0 || spills == 0 {
+		t.Errorf("breaker events %d, spills %d: want both > 0", breakerEvents, spills)
 	}
 }
