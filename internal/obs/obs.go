@@ -94,10 +94,10 @@ const (
 	// the cloud never rejects work it accepted.
 	EvCloudRoute
 	// EvCloudThrottle: the cloud backend delayed or refused a dispatch
-	// (Detail = "rate" for a rate-limit/concurrency wait, "budget" for a
-	// MaxSpend refusal, "fail" for an injected transient failure).
-	// Non-terminal: the request proceeds delayed, locally, or into the
-	// retry queue.
+	// (Detail = "rate" for a rate-limit wait, "budget" for a MaxSpend
+	// refusal). Non-terminal: a delayed request is still served by the
+	// cloud; a refused one stays on its local path (a shed-or-buy
+	// waiter is shed).
 	EvCloudThrottle
 )
 

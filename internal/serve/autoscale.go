@@ -341,22 +341,10 @@ type replica struct {
 	probeFails int
 	ejected    bool
 	ejectedAt  time.Duration
-	// Live-load counters feeding ReplicaView's Live fields: assigned
-	// work minus completions/rejections (consumed via the cursors
-	// below) and crash losses — actual queue depth, unlike the
-	// cumulative assigned counters above.
-	liveTokens   int
-	liveReqs     int
-	liveDoneSeen int
-	liveRejSeen  int
 
-	// Circuit breaker (nil unless the fleet enables breakers). The bk*
-	// cursors sweep the engine's terminal lists at serial controller
-	// points, feeding completions as successes and admission sheds as
-	// failures; crashes trip the breaker directly.
-	breaker    *breaker
-	bkDoneSeen int
-	bkRejSeen  int
+	// breaker is the replica's circuit breaker (nil unless the fleet
+	// enables breakers).
+	breaker *breaker
 }
 
 // remaining counts routed-but-unfinished requests, the drain-victim
@@ -442,9 +430,8 @@ func (f *fleetState) spawn(cfg Config, at, cold time.Duration) error {
 		return err
 	}
 	e.setRecordIters(f.recordEvents)
-	if f.obs != nil {
-		e.attachStream(f.obs.Stream(f.obsRegion, cfg.Name))
-	}
+	track := f.obs.Stream(f.obsRegion, cfg.Name)
+	e.attachStream(track)
 	e.buyDivert = f.cloud != nil
 	// The engine's clock starts at readiness so a spawned replica cannot
 	// serve a token before its warmup elapses.
@@ -454,7 +441,7 @@ func (f *fleetState) spawn(cfg Config, at, cold time.Duration) error {
 		kvCapacity: e.KVCapacityTokens(), state: replicaWarming,
 	}
 	if f.breakers != nil {
-		rep.breaker = &breaker{}
+		rep.breaker = &breaker{track: track}
 	}
 	if cold == 0 {
 		rep.state = replicaActive
@@ -549,55 +536,21 @@ func (f *fleetState) allDone() bool {
 	return true
 }
 
-// syncBreakers sweeps each replica's terminal lists since the last
-// sync into its breaker: completions are successes, admission sheds are
-// failures (crashes trip directly in crashReplica). Runs only at serial
-// controller points, so the state machines see the same signal order
-// regardless of worker count.
+// syncBreakers feeds each replica's terminal outcomes since the last
+// sync into its breaker (crashes trip directly in crashReplica).
 func (f *fleetState) syncBreakers(now time.Duration) {
 	if f.breakers == nil {
 		return
 	}
 	for _, rep := range f.replicas {
-		b := rep.breaker
-		e := rep.engine
-		for range e.completed[rep.bkDoneSeen:] {
-			if b.success() {
-				e.tap.event(now, obs.EvBreakerClose, obs.NoRequest, "")
-			}
-		}
-		rep.bkDoneSeen = len(e.completed)
-		for _, s := range e.rejected[rep.bkRejSeen:] {
-			if s.rejectReason != RejectShed {
-				continue
-			}
-			if b.failure(now) {
-				e.tap.event(now, obs.EvBreakerOpen, obs.NoRequest, "shed")
-			}
-		}
-		rep.bkRejSeen = len(e.rejected)
+		rep.breaker.feed(now, 0, rep.engine)
 	}
 }
 
-// breakerAllow consults a replica's breaker for routing, emitting the
-// half-open transition event when an open window lapses. Replicas
-// without a breaker always allow.
-func (f *fleetState) breakerAllow(rep *replica, now time.Duration) bool {
-	b := rep.breaker
-	if b == nil {
-		return true
-	}
-	wasOpen := b.state == breakerOpen
-	ok := b.allow(now)
-	if ok && wasOpen {
-		rep.engine.tap.event(now, obs.EvBreakerHalfOpen, obs.NoRequest, "")
-	}
-	return ok
-}
-
-// route places one arriving request on an active replica. Views mirror
-// routeTrace's assigned-work semantics exactly, so a never-scaled fleet
-// routes identically to the plain path.
+// route places one arriving request on an active replica. The
+// Outstanding fields mirror routeTrace's assigned-work semantics, so a
+// never-scaled fleet routes identically to the plain path; the Live
+// fields read the engine's backlog.
 func (f *fleetState) route(router Router, r workload.Request, now time.Duration) error {
 	f.promote(now)
 	f.syncBreakers(now)
@@ -607,7 +560,8 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 		if !rep.routable() {
 			continue
 		}
-		rep.refreshLive()
+		var b backlog
+		rep.engine.addBacklog(&b)
 		views = append(views, ReplicaView{
 			Index: len(views), Name: rep.engine.cfg.Name,
 			OutstandingTokens:   rep.assignedTokens + rep.tokenHandicap,
@@ -615,9 +569,9 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 			KVCapacityTokens:    rep.kvCapacity,
 			FreeKVTokens:        rep.kvCapacity - rep.assignedTokens - rep.tokenHandicap,
 			Live:                true,
-			LiveRequests:        rep.liveReqs,
-			LiveTokens:          rep.liveTokens,
-			BreakerOpen:         !f.breakerAllow(rep, now),
+			LiveRequests:        b.queuedReqs + b.runningReqs,
+			LiveTokens:          b.queuedTokens + b.runningTokens,
+			BreakerOpen:         !rep.breaker.admit(now),
 		})
 		targets = append(targets, rep)
 	}
@@ -636,8 +590,6 @@ func (f *fleetState) route(router Router, r workload.Request, now time.Duration)
 	rep.engine.arrivals = append(rep.engine.arrivals, r)
 	rep.assignedTokens += r.TotalTokens()
 	rep.assignedReqs++
-	rep.liveTokens += r.TotalTokens()
-	rep.liveReqs++
 	f.arrivedInWin++
 	return nil
 }
@@ -693,36 +645,77 @@ func (f *fleetState) view(now time.Duration, parked []workload.Request) FleetVie
 			}
 		}
 		rep.rejSeen = len(e.rejected)
-
-		switch rep.state {
-		case replicaActive:
-			v.Active++
-		case replicaWarming:
-			v.Warming++
-		case replicaDraining:
-			v.Draining++
-		case replicaRetired:
-			continue
-		}
-		if rep.down || rep.ejected {
-			v.Down++
-		}
-		v.QueuedRequests += e.waiting.len() + len(e.arrivals) - e.nextIdx
-		v.RunningRequests += len(e.running)
-		for _, s := range e.waiting.seqs() {
-			v.QueuedTokens += s.req.TotalTokens()
-		}
-		for _, r := range e.arrivals[e.nextIdx:] {
-			v.QueuedTokens += r.TotalTokens()
-		}
 	}
+	c := f.census()
+	v.Active, v.Warming, v.Draining, v.Down = c.active, c.warming, c.draining, c.down
+	v.RunningRequests = c.runningReqs
 	// Parked work (nowhere routable during an outage) is backlog the
 	// policy should see and scale for.
-	v.QueuedRequests += len(parked)
+	v.QueuedRequests = c.queuedReqs + len(parked)
+	v.QueuedTokens = c.queuedTokens
 	for _, r := range parked {
 		v.QueuedTokens += r.TotalTokens()
 	}
 	return v
+}
+
+// fleetCensus is one pass over a fleet's unretired replicas:
+// composition, health and breaker counts, backlog, and the KV and
+// prefix-cache gauges. doneTokens alone covers retired replicas too.
+type fleetCensus struct {
+	active, warming, draining      int
+	down, ejected                  int // down counts dark or ejected replicas
+	breakersOpen, breakersHalfOpen int
+	backlog
+	// nextReady is the earliest warming replica's readyAt; -1 when none.
+	nextReady              time.Duration
+	kvCap, kvUsed          int
+	cacheHits, cacheMisses int
+	doneTokens             int
+}
+
+// census counts the fleet at a serial controller point. It feeds the
+// autoscaler's FleetView, the post-decision FleetSample and obs sample,
+// and the geo router's RegionView.
+func (f *fleetState) census() fleetCensus {
+	c := fleetCensus{nextReady: -1}
+	for _, rep := range f.replicas {
+		e := rep.engine
+		c.doneTokens += e.doneTokens
+		switch rep.state {
+		case replicaActive:
+			c.active++
+		case replicaWarming:
+			c.warming++
+			if c.nextReady < 0 || rep.readyAt < c.nextReady {
+				c.nextReady = rep.readyAt
+			}
+		case replicaDraining:
+			c.draining++
+		case replicaRetired:
+			continue
+		}
+		if rep.down || rep.ejected {
+			c.down++
+		}
+		if rep.ejected {
+			c.ejected++
+		}
+		if rep.breaker != nil {
+			switch rep.breaker.state {
+			case breakerOpen:
+				c.breakersOpen++
+			case breakerHalfOpen:
+				c.breakersHalfOpen++
+			}
+		}
+		e.addBacklog(&c.backlog)
+		c.kvCap += rep.kvCapacity
+		c.kvUsed += rep.kvCapacity - e.alloc.FreeTokens()
+		c.cacheHits += e.cacheHits
+		c.cacheMisses += e.cacheMisses
+	}
+	return c
 }
 
 // evaluate runs one autoscaler decision at an evaluation boundary;
@@ -762,73 +755,37 @@ func (f *fleetState) evaluate(now time.Duration, parked []workload.Request) erro
 	}
 	// Sample the post-decision fleet: this is the per-interval fleet-size
 	// series Result reports.
-	s := FleetSample{At: now, Desired: desired, QueuedRequests: v.QueuedRequests}
-	for _, rep := range f.replicas {
-		switch rep.state {
-		case replicaActive:
-			s.Active++
-		case replicaWarming:
-			s.Warming++
-		case replicaDraining:
-			s.Draining++
-		}
-	}
-	f.samples = append(f.samples, s)
+	c := f.census()
+	f.samples = append(f.samples, FleetSample{
+		At: now, Desired: desired, QueuedRequests: v.QueuedRequests,
+		Active: c.active, Warming: c.warming, Draining: c.draining,
+	})
 	if f.obs != nil {
-		f.obsSample(now, desired, v)
+		f.obsSample(now, desired, v, c)
 	}
 	f.arrivedInWin = 0
 	return nil
 }
 
 // obsSample appends one controller-tick snapshot to the observer: the
-// post-decision fleet composition plus the live gauges (KV occupancy,
+// post-decision census c (composition, health, breakers, KV occupancy,
 // measured prefix-cache hit rate) and the per-class attainment rolled
 // up since the previous tick. Runs on the serial controller path while
 // every engine is parked at the tick's barrier, so reading engine
 // state is race-free and the sample order is worker-count independent.
-func (f *fleetState) obsSample(now time.Duration, desired int, v FleetView) {
+func (f *fleetState) obsSample(now time.Duration, desired int, v FleetView, c fleetCensus) {
 	smp := obs.Sample{
 		At: now, Track: f.name, Desired: desired,
 		QueuedRequests: v.QueuedRequests, RunningRequests: v.RunningRequests,
+		Active: c.active, Warming: c.warming, Draining: c.draining,
+		Down: c.down, Ejected: c.ejected,
+		BreakersOpen: c.breakersOpen, BreakersHalfOpen: c.breakersHalfOpen,
 	}
-	var capTok, usedTok, hits, misses int
-	for _, rep := range f.replicas {
-		switch rep.state {
-		case replicaActive:
-			smp.Active++
-		case replicaWarming:
-			smp.Warming++
-		case replicaDraining:
-			smp.Draining++
-		case replicaRetired:
-			continue
-		}
-		if rep.down || rep.ejected {
-			smp.Down++
-		}
-		if rep.ejected {
-			smp.Ejected++
-		}
-		if rep.breaker != nil {
-			switch rep.breaker.state {
-			case breakerOpen:
-				smp.BreakersOpen++
-			case breakerHalfOpen:
-				smp.BreakersHalfOpen++
-			}
-		}
-		e := rep.engine
-		capTok += rep.kvCapacity
-		usedTok += rep.kvCapacity - e.alloc.FreeTokens()
-		hits += e.cacheHits
-		misses += e.cacheMisses
+	if c.kvCap > 0 {
+		smp.KVUtil = float64(c.kvUsed) / float64(c.kvCap)
 	}
-	if capTok > 0 {
-		smp.KVUtil = float64(usedTok) / float64(capTok)
-	}
-	if hits+misses > 0 {
-		smp.CacheHitRate = float64(hits) / float64(hits+misses)
+	if c.cacheHits+c.cacheMisses > 0 {
+		smp.CacheHitRate = float64(c.cacheHits) / float64(c.cacheHits+c.cacheMisses)
 	}
 	if v.WindowOutcomes > 0 {
 		smp.ShedRate = float64(v.WindowShed) / float64(v.WindowOutcomes)

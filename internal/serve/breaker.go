@@ -12,7 +12,11 @@ package serve
 // controller path, so breaker state (and every byte derived from it) is
 // identical across worker counts.
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/obs"
+)
 
 // Breaker tunings: five consecutive failure signals (sheds, crash
 // losses) trip a closed breaker open; an open breaker diverts traffic
@@ -48,13 +52,75 @@ func (s breakerState) String() string {
 	return "closed"
 }
 
-// breaker is one track's state machine.
+// breaker is one track's state machine and its signal feed.
 type breaker struct {
 	state    breakerState
 	fails    int // consecutive failures while closed
 	okProbes int // successes seen while half-open
 	openedAt time.Duration
 	opens    int // lifetime open transitions (Result.BreakerOpens)
+
+	// track receives the transition events (nil when tracing is off).
+	// label is their detail on a region breaker (the region name); a
+	// replica breaker's label is empty, and its opens say "shed" or
+	// "crash". doneSeen/rejSeen are per-engine cursors over the
+	// engines' completed and rejected lists, indexed as passed to feed.
+	track             *obs.Stream
+	label             string
+	doneSeen, rejSeen []int
+}
+
+// event emits one transition on the breaker's track.
+func (b *breaker) event(now time.Duration, kind obs.Kind, detail string) {
+	if b.label != "" {
+		detail = b.label
+	}
+	b.track.Event(now, kind, obs.NoRequest, detail)
+}
+
+// feed sweeps engine i's terminal lists since its last feed: completions
+// are successes, then admission sheds are failures. Serial controller
+// points only, so the state machine sees the same signal order at
+// every worker count.
+func (b *breaker) feed(now time.Duration, i int, e *Engine) {
+	for len(b.doneSeen) <= i {
+		b.doneSeen = append(b.doneSeen, 0)
+		b.rejSeen = append(b.rejSeen, 0)
+	}
+	for range e.completed[b.doneSeen[i]:] {
+		if b.success() {
+			b.event(now, obs.EvBreakerClose, "")
+		}
+	}
+	b.doneSeen[i] = len(e.completed)
+	for _, s := range e.rejected[b.rejSeen[i]:] {
+		if s.rejectReason == RejectShed && b.failure(now) {
+			b.event(now, obs.EvBreakerOpen, "shed")
+		}
+	}
+	b.rejSeen[i] = len(e.rejected)
+}
+
+// crash trips the breaker on a crash: definitive failure evidence, no
+// threshold. Nil-safe.
+func (b *breaker) crash(now time.Duration) {
+	if b != nil && b.trip(now) {
+		b.event(now, obs.EvBreakerOpen, "crash")
+	}
+}
+
+// admit consults the breaker for routing, emitting the half-open
+// transition when an open window lapses. A nil breaker always admits.
+func (b *breaker) admit(now time.Duration) bool {
+	if b == nil {
+		return true
+	}
+	wasOpen := b.state == breakerOpen
+	ok := b.allow(now)
+	if ok && wasOpen {
+		b.event(now, obs.EvBreakerHalfOpen, "")
+	}
+	return ok
 }
 
 // failure records one failure signal (a shed); it trips a closed

@@ -341,13 +341,12 @@ type cloudShedEntry struct {
 	at time.Duration
 }
 
-// drainCloudShed collects every engine's staged shed-or-buy waiters,
+// drainCloudShed collects every region's staged shed-or-buy waiters,
 // orders them globally by (shed time, request ID) — a total order
 // independent of engine stepping interleave — and offers each to the
 // cloud. Refusals (budget) shed normally via refuseCloudShed; accepted
-// buys invoke onBuy (the controller's live-load bookkeeping). Serial
-// paths only.
-func drainCloudShed(engines []*Engine, ct *cloudTier, onBuy func(e *Engine, s *seq)) {
+// buys leave the engine for good. Serial paths only.
+func drainCloudShed(runs []*regionRun, ct *cloudTier) {
 	if ct == nil {
 		return
 	}
@@ -356,9 +355,11 @@ func drainCloudShed(engines []*Engine, ct *cloudTier, onBuy func(e *Engine, s *s
 		cloudShedEntry
 	}
 	var all []staged
-	for _, e := range engines {
-		for _, en := range e.takeCloudShed() {
-			all = append(all, staged{e: e, cloudShedEntry: en})
+	for _, rr := range runs {
+		for _, rep := range rr.fleet.replicas {
+			for _, en := range rep.engine.takeCloudShed() {
+				all = append(all, staged{e: rep.engine, cloudShedEntry: en})
+			}
 		}
 	}
 	if len(all) == 0 {
@@ -371,10 +372,8 @@ func drainCloudShed(engines []*Engine, ct *cloudTier, onBuy func(e *Engine, s *s
 		return all[i].s.req.ID < all[j].s.req.ID
 	})
 	for _, en := range all {
-		if ct.offer(en.s.req, en.at, "shed-or-buy") {
-			onBuy(en.e, en.s)
-			continue
+		if !ct.offer(en.s.req, en.at, "shed-or-buy") {
+			en.e.refuseCloudShed(en.s, en.at)
 		}
-		en.e.refuseCloudShed(en.s, en.at)
 	}
 }

@@ -341,6 +341,8 @@ type Engine struct {
 	rejected     []*seq
 	cost         perf.Cost // accumulated component times
 	tokensServed int
+	// doneTokens sums the input+output tokens of completed requests.
+	doneTokens int
 
 	// tap is the nil-gated observation sink (obs stream + deprecated
 	// IterEvent capture); nil on the untraced fast path. See tap.go.
@@ -443,6 +445,30 @@ func eventCapHint(reqs []workload.Request) int {
 	return len(reqs) + out/8
 }
 
+// backlog is routed-but-unfinished work: queued requests (waiting, or
+// routed and not yet admitted) and running ones, each with their
+// input+output tokens.
+type backlog struct {
+	queuedReqs, queuedTokens   int
+	runningReqs, runningTokens int
+}
+
+// addBacklog adds the engine's backlog into b. Controller points only,
+// while the engine is parked.
+func (e *Engine) addBacklog(b *backlog) {
+	b.queuedReqs += e.waiting.len() + len(e.arrivals) - e.nextIdx
+	b.runningReqs += len(e.running)
+	for _, s := range e.waiting.seqs() {
+		b.queuedTokens += s.req.TotalTokens()
+	}
+	for _, r := range e.arrivals[e.nextIdx:] {
+		b.queuedTokens += r.TotalTokens()
+	}
+	for _, s := range e.running {
+		b.runningTokens += s.req.TotalTokens()
+	}
+}
+
 // finished reports whether the engine has drained all work.
 func (e *Engine) finished() bool {
 	return e.nextIdx >= len(e.arrivals) && e.waiting.len() == 0 && len(e.running) == 0
@@ -539,21 +565,13 @@ type batchPlan struct {
 
 func (b batchPlan) empty() bool { return len(b.prefills) == 0 && len(b.decodes) == 0 }
 
-func (b batchPlan) tokens() int {
-	n := 0
-	for _, c := range b.chunks {
-		n += c
-	}
-	return n + len(b.decodes)*b.specTokens
-}
+// urgentDemand is one at-risk waiter's reserved prefill budget (step 2).
+type urgentDemand struct{ prio, chunk int }
 
 // schedule builds the next iteration following vLLM's chunked-prefill
 // policy: decodes first (one token per running sequence), then prefill
 // chunks up to the token budget, admitting waiting requests while KV
 // blocks remain.
-// urgentDemand is one at-risk waiter's reserved prefill budget (step 2).
-type urgentDemand struct{ prio, chunk int }
-
 func (e *Engine) schedule() batchPlan {
 	if e.admission != nil {
 		e.shedPass()
@@ -1120,6 +1138,7 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 			s.finished = e.now
 			e.alloc.Release(s.req.ID)
 			e.completed = append(e.completed, s)
+			e.doneTokens += s.req.TotalTokens()
 			e.tap.event(e.now, obs.EvFinish, s.req.ID, "")
 		} else {
 			kept = append(kept, s)

@@ -446,84 +446,39 @@ type Geo struct {
 }
 
 // regionRun is the geo controller's per-region state: the fleet, its
-// local router, its evaluation cursor, and the measured-throughput
-// estimate feeding RegionView.
+// local router, its evaluation cursor, and the active-time integral of
+// the measured-throughput estimate feeding RegionView.
 type regionRun struct {
 	name     string
 	fleet    *fleetState
 	router   Router
 	ac       AutoscaleConfig
 	nextEval time.Duration
-	// servedTokens accumulates completed input+output tokens via
-	// per-replica cursors (separate from the autoscaler's attainment
-	// window cursors, which view() consumes).
-	servedTokens int
-	servedSeen   []int
 	// activeSeconds integrates active-replica time between controller
 	// events, the denominator of the measured per-replica rate.
 	activeSeconds float64
 	lastAccrual   time.Duration
 
-	// Region-level circuit breaker (nil unless Geo.Breakers is set),
-	// aggregating every replica's terminal outcomes: completions are
-	// successes, admission sheds failures, and any replica crash trips
-	// it. The bk* cursors are independent of the fleet's per-replica
-	// breaker cursors.
-	breaker     *breaker
-	bkDoneSeen  []int
-	bkRejSeen   []int
-	bkCrashSeen int
+	// Region-level circuit breaker (nil unless Geo.Breakers is set), fed
+	// every replica's terminal outcomes; any replica crash trips it at
+	// the next sync (crashSeen is the fleet crash-count cursor).
+	breaker   *breaker
+	crashSeen int
 }
 
-// syncBreaker sweeps the region's terminal outcomes since the last
-// sync into the region breaker. Serial controller path only.
+// syncBreaker feeds the region's terminal outcomes and crashes since
+// the last sync into the region breaker. Serial controller path only.
 func (rr *regionRun) syncBreaker(now time.Duration) {
 	b := rr.breaker
 	if b == nil {
 		return
 	}
 	for i, rep := range rr.fleet.replicas {
-		if i >= len(rr.bkDoneSeen) {
-			rr.bkDoneSeen = append(rr.bkDoneSeen, 0)
-			rr.bkRejSeen = append(rr.bkRejSeen, 0)
-		}
-		e := rep.engine
-		for range e.completed[rr.bkDoneSeen[i]:] {
-			if b.success() {
-				rr.fleet.bal.Event(now, obs.EvBreakerClose, obs.NoRequest, rr.name)
-			}
-		}
-		rr.bkDoneSeen[i] = len(e.completed)
-		for _, s := range e.rejected[rr.bkRejSeen[i]:] {
-			if s.rejectReason != RejectShed {
-				continue
-			}
-			if b.failure(now) {
-				rr.fleet.bal.Event(now, obs.EvBreakerOpen, obs.NoRequest, rr.name)
-			}
-		}
-		rr.bkRejSeen[i] = len(e.rejected)
+		b.feed(now, i, rep.engine)
 	}
-	for ; rr.bkCrashSeen < rr.fleet.crashCount; rr.bkCrashSeen++ {
-		if b.trip(now) {
-			rr.fleet.bal.Event(now, obs.EvBreakerOpen, obs.NoRequest, rr.name)
-		}
+	for ; rr.crashSeen < rr.fleet.crashCount; rr.crashSeen++ {
+		b.crash(now)
 	}
-}
-
-// breakerAllow consults the region breaker for geo routing, emitting
-// the half-open transition event when an open window lapses.
-func (rr *regionRun) breakerAllow(now time.Duration) bool {
-	b := rr.breaker
-	if b == nil {
-		return true
-	}
-	wasOpen := b.state == breakerOpen
-	ok := b.allow(now)
-	if ok && wasOpen {
-		rr.fleet.bal.Event(now, obs.EvBreakerHalfOpen, obs.NoRequest, rr.name)
-	}
-	return ok
 }
 
 // accrue extends the active-replica-seconds integral to now, using the
@@ -544,60 +499,24 @@ func (rr *regionRun) accrue(now time.Duration) {
 	rr.lastAccrual = now
 }
 
-// refreshServed advances the completion cursors, accumulating served
-// tokens for the measured-rate estimate.
-func (rr *regionRun) refreshServed() {
-	for i, rep := range rr.fleet.replicas {
-		if i >= len(rr.servedSeen) {
-			rr.servedSeen = append(rr.servedSeen, 0)
-		}
-		for _, s := range rep.engine.completed[rr.servedSeen[i]:] {
-			rr.servedTokens += s.req.TotalTokens()
-		}
-		rr.servedSeen[i] = len(rep.engine.completed)
-	}
-}
-
 // view snapshots the region for the geo router at the routing instant.
+// Health-ejected replicas are out of the routing set and drained (their
+// backlog is empty): the geo balancer knows, so they are not capacity.
+// A down-but-not-ejected replica still counts: the detection delay
+// means the balancer can't tell yet.
 func (rr *regionRun) view(now time.Duration) RegionView {
 	rr.fleet.promote(now)
-	rr.refreshServed()
-	v := RegionView{Name: rr.name, ColdStart: rr.ac.ColdStart, NextReadyIn: -1}
-	for _, rep := range rr.fleet.replicas {
-		switch rep.state {
-		case replicaActive:
-			if rep.ejected {
-				// Health-ejected: out of the routing set and already
-				// drained — the geo balancer knows, so it is not capacity.
-				// (A down-but-not-ejected replica still counts: the
-				// detection delay means the balancer can't tell yet.)
-				continue
-			}
-			v.Active++
-		case replicaWarming:
-			v.Warming++
-			if in := rep.readyAt - now; v.NextReadyIn < 0 || in < v.NextReadyIn {
-				v.NextReadyIn = in
-			}
-		case replicaDraining:
-			v.Draining++
-		case replicaRetired:
-			continue
-		}
-		e := rep.engine
-		v.QueuedRequests += e.waiting.len() + len(e.arrivals) - e.nextIdx
-		for _, s := range e.waiting.seqs() {
-			v.QueuedTokens += s.req.TotalTokens()
-		}
-		for _, r := range e.arrivals[e.nextIdx:] {
-			v.QueuedTokens += r.TotalTokens()
-		}
-		for _, s := range e.running {
-			v.RunningTokens += s.req.TotalTokens()
-		}
+	c := rr.fleet.census()
+	v := RegionView{
+		Name: rr.name, ColdStart: rr.ac.ColdStart, NextReadyIn: -1,
+		Active: c.active - c.ejected, Warming: c.warming, Draining: c.draining,
+		QueuedRequests: c.queuedReqs, QueuedTokens: c.queuedTokens, RunningTokens: c.runningTokens,
+	}
+	if c.nextReady >= 0 {
+		v.NextReadyIn = c.nextReady - now
 	}
 	if rr.activeSeconds > 0 {
-		v.MeasuredRate = float64(rr.servedTokens) / rr.activeSeconds
+		v.MeasuredRate = float64(c.doneTokens) / rr.activeSeconds
 	}
 	if rr.fleet.faultsOn {
 		v.Down = rr.fleet.routableCount() == 0
@@ -816,48 +735,18 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 		}
 		runs[i] = &regionRun{name: name, fleet: fleet, router: local, ac: ac, nextEval: ac.Interval}
 		if g.Breakers != nil && !single {
-			runs[i].breaker = &breaker{}
+			runs[i].breaker = &breaker{track: fleet.bal, label: name}
 		}
 	}
 
 	workers := conc.Workers(g.Parallelism)
 
 	// drainBuys offers every region's staged shed-or-buy waiters to the
-	// shared cloud tier, in one global (shed time, request ID) order so
-	// the outcome is independent of region stepping interleave. Must run
-	// at serial points right after each advance barrier — before any
-	// crash handling, whose clearLive would orphan the staged entries'
-	// live-load accounting — and once more before result assembly.
-	drainBuys := func() {
-		if cloud == nil {
-			return
-		}
-		staged := false
-		for _, rr := range runs {
-			for _, rep := range rr.fleet.replicas {
-				if len(rep.engine.cloudShed) > 0 {
-					staged = true
-					break
-				}
-			}
-		}
-		if !staged {
-			return
-		}
-		var engines []*Engine
-		byEngine := map[*Engine]*replica{}
-		for _, rr := range runs {
-			for _, rep := range rr.fleet.replicas {
-				engines = append(engines, rep.engine)
-				byEngine[rep.engine] = rep
-			}
-		}
-		drainCloudShed(engines, cloud, func(e *Engine, s *seq) {
-			rep := byEngine[e]
-			rep.liveTokens -= s.req.TotalTokens()
-			rep.liveReqs--
-		})
-	}
+	// shared cloud tier. Must run at serial points right after each
+	// advance barrier — before any crash handling or routing, so staged
+	// waiters never sit outside every engine list — and once more before
+	// result assembly.
+	drainBuys := func() { drainCloudShed(runs, cloud) }
 
 	// place routes one request through the geo tier at now: regional
 	// views (with the origin's RTT row), the geo router, then the chosen
@@ -885,7 +774,7 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 			views[i] = rr.view(now)
 			views[i].Index = i
 			views[i].RTT = g.Topology.RTT[origin][i]
-			views[i].BreakerOpen = !rr.breakerAllow(now)
+			views[i].BreakerOpen = !rr.breaker.admit(now)
 			if !views[i].Down {
 				anyUp = true
 			}
@@ -1228,17 +1117,7 @@ func (g Geo) buildGeoResult(runs []*regionRun, gf *geoFaults, shared *sharedTier
 			st.TTFT.AddDuration(m.TTFT)
 		}
 		if m.SLO != nil {
-			if m.Rejected {
-				st.SLO.Rejected++
-			} else {
-				st.SLO.Requests++
-			}
-			if m.TTFTMet() {
-				st.SLO.TTFTMet++
-			}
-			if m.TPOTMet() {
-				st.SLO.TPOTMet++
-			}
+			st.SLO.add(m)
 		}
 	}
 	// Fill after the per-region loop: ReplicaSeconds is final only once

@@ -23,33 +23,6 @@ const (
 	healthCooldown = 10 * time.Second
 )
 
-// refreshLive consumes the live-load cursors: completions and
-// rejections since the last refresh come off the replica's live
-// counters, so ReplicaView.LiveTokens tracks work actually still on
-// the replica in O(completions) amortized.
-func (rep *replica) refreshLive() {
-	e := rep.engine
-	for _, s := range e.completed[rep.liveDoneSeen:] {
-		rep.liveTokens -= s.req.TotalTokens()
-		rep.liveReqs--
-	}
-	rep.liveDoneSeen = len(e.completed)
-	for _, s := range e.rejected[rep.liveRejSeen:] {
-		rep.liveTokens -= s.req.TotalTokens()
-		rep.liveReqs--
-	}
-	rep.liveRejSeen = len(e.rejected)
-}
-
-// clearLive zeroes the live counters after a crash or ejection drain
-// (everything on the replica is gone) and syncs the cursors so the
-// drained work is not double-subtracted later.
-func (rep *replica) clearLive() {
-	rep.liveTokens, rep.liveReqs = 0, 0
-	rep.liveDoneSeen = len(rep.engine.completed)
-	rep.liveRejSeen = len(rep.engine.rejected)
-}
-
 // routable reports whether the router may place new work on the
 // replica. A down-but-not-yet-ejected replica IS routable — the
 // detection delay before the health tier ejects it is exactly the
@@ -101,7 +74,6 @@ func (f *fleetState) crashReplica(rep *replica, now, restartAt time.Duration) []
 	if rep == nil || rep.down || rep.state == replicaRetired {
 		return nil
 	}
-	rep.refreshLive()
 	lost, lostTok := rep.engine.crashDrain()
 	// Crash and per-request loss land on the replica's own track, at
 	// controller time (the engine's clock may have overshot the event).
@@ -112,15 +84,10 @@ func (f *fleetState) crashReplica(rep *replica, now, restartAt time.Duration) []
 	}
 	f.workLost += lostTok
 	f.crashCount++
-	if rep.breaker != nil && rep.breaker.trip(now) {
-		// A crash is definitive failure evidence: trip the breaker
-		// directly, no threshold.
-		rep.engine.tap.event(now, obs.EvBreakerOpen, obs.NoRequest, "crash")
-	}
+	rep.breaker.crash(now)
 	rep.down = true
 	rep.restartAt = restartAt
 	rep.probeFails = 0
-	rep.clearLive()
 	if rep.state == replicaDraining {
 		rep.state = replicaRetired
 		rep.retireAt = now
@@ -153,14 +120,12 @@ func (f *fleetState) probeAll(now time.Duration) []workload.Request {
 				rep.ejected = true
 				rep.ejectedAt = now
 				f.ejections++
-				rep.refreshLive()
 				drained, _ := rep.engine.crashDrain()
 				rep.engine.tap.event(now, obs.EvEject, obs.NoRequest, "")
 				for _, r := range drained {
 					rep.engine.tap.event(now, obs.EvLost, r.ID, "")
 				}
 				lost = append(lost, drained...)
-				rep.clearLive()
 			}
 			continue
 		}

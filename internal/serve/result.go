@@ -344,6 +344,21 @@ func (a *SLOAttainment) TTFTRate() float64 { return a.rate(a.TTFTMet) }
 // TPOTRate returns the fraction that met their TPOT deadline.
 func (a *SLOAttainment) TPOTRate() float64 { return a.rate(a.TPOTMet) }
 
+// add tallies one SLO-carrying request's outcome.
+func (a *SLOAttainment) add(m RequestMetrics) {
+	if m.Rejected {
+		a.Rejected++
+	} else {
+		a.Requests++
+	}
+	if m.TTFTMet() {
+		a.TTFTMet++
+	}
+	if m.TPOTMet() {
+		a.TPOTMet++
+	}
+}
+
 func (a *SLOAttainment) rate(met int) float64 {
 	total := a.Requests + a.Rejected
 	if total == 0 {
@@ -366,17 +381,7 @@ func (r *Result) WindowAttainment(prefix string, from, to time.Duration) SLOAtta
 		if prefix != "" && !strings.HasPrefix(m.Class, prefix) {
 			continue
 		}
-		if m.Rejected {
-			a.Rejected++
-		} else {
-			a.Requests++
-		}
-		if m.TTFTMet() {
-			a.TTFTMet++
-		}
-		if m.TPOTMet() {
-			a.TPOTMet++
-		}
+		a.add(m)
 	}
 	return a
 }
@@ -447,28 +452,14 @@ func (r *Result) Summary() string {
 
 func buildResult(name string, metrics []RequestMetrics, engines []*Engine) *Result {
 	r := &Result{Name: name, PerRequest: metrics, SLOByClass: map[string]*SLOAttainment{}}
-	att := func(class string) *SLOAttainment {
-		a := r.SLOByClass[class]
-		if a == nil {
-			a = &SLOAttainment{}
-			r.SLOByClass[class] = a
-		}
-		return a
-	}
 	for _, m := range metrics {
 		if m.SLO != nil {
-			a := att(m.Class)
-			if m.Rejected {
-				a.Rejected++
-			} else {
-				a.Requests++
+			a := r.SLOByClass[m.Class]
+			if a == nil {
+				a = &SLOAttainment{}
+				r.SLOByClass[m.Class] = a
 			}
-			if m.TTFTMet() {
-				a.TTFTMet++
-			}
-			if m.TPOTMet() {
-				a.TPOTMet++
-			}
+			a.add(m)
 		}
 		r.Retries += m.Retries
 		if m.Rejected {

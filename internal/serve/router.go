@@ -29,12 +29,11 @@ type ReplicaView struct {
 	// (TotalTokens) of the assigned work. It can go negative when the
 	// replica is oversubscribed.
 	FreeKVTokens int
-	// Live marks views carrying completion feedback: LiveRequests and
-	// LiveTokens count only work still on the replica (assigned minus
-	// finished, rejected, and crash-lost), where the Outstanding
-	// counters accumulate forever. Fleet controllers with a completion
-	// stream (the autoscaled and geo paths) set it; arrival-time
-	// snapshot routing leaves it false.
+	// Live marks views read from the engine at the routing instant:
+	// LiveRequests and LiveTokens count only work still on the replica
+	// (queued plus running), where the Outstanding counters accumulate
+	// forever. The fleet controller (controlled Clusters and geo
+	// regions) sets it; arrival-time snapshot routing leaves it false.
 	Live         bool
 	LiveRequests int
 	LiveTokens   int
@@ -130,10 +129,10 @@ func (joinShortestKV) Route(_ workload.Request, replicas []ReplicaView) int {
 type liveLeastLoaded struct{}
 
 // NewLiveLeastLoadedRouter picks the replica with the fewest live
-// tokens — work assigned and not yet completed — ties to the lowest
-// index. On controllers that feed completions back (autoscaled fleets,
-// geo regions) this rebalances on actual queue depth over a long
-// trace; without live views it degrades to least-outstanding exactly.
+// tokens — work queued or running on it — ties to the lowest index.
+// Under the fleet controller (controlled Clusters, geo regions) this
+// rebalances on actual queue depth over a long trace; without live
+// views it degrades to least-outstanding exactly.
 func NewLiveLeastLoadedRouter() Router { return liveLeastLoaded{} }
 
 func (liveLeastLoaded) Name() string { return "live-least-loaded" }
