@@ -610,7 +610,7 @@ func (f *fleetState) view(now time.Duration, parked []workload.Request) FleetVie
 			v.WindowOutcomes++
 			if s.req.SLO != nil {
 				v.WindowSLORequests++
-				m := RequestMetrics{TTFT: s.firstTok - s.req.Arrival, SLO: s.req.SLO}
+				m := RequestMetrics{TTFT: s.firstTok - s.req.SubmittedAt(), SLO: s.req.SLO}
 				met := m.TTFTMet()
 				if met {
 					v.WindowTTFTMet++

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/workload"
 )
@@ -299,5 +300,38 @@ func TestGeoOutageConservation(t *testing.T) {
 	}
 	if spilled == 0 {
 		t.Fatal("no requests served remotely during the outage")
+	}
+}
+
+// TestRetryWindowTTFTFromSubmission: the controller's window attainment
+// (the slo-feedback signal and obs.Sample.Classes) measures a retried
+// request's TTFT from its original submission, as Result does — not
+// from the retry instant, which would count late retries as met. The
+// samples cover only completions up to the last controller tick, so
+// their sum can never exceed the Result's.
+func TestRetryWindowTTFTFromSubmission(t *testing.T) {
+	cm := llamaCM(t)
+	cl := DPCluster("retry-window", goldenOneGPU(cm), 2)
+	cl.Lockstep = false
+	cl.Faults = &workload.FaultPlan{Crashes: []workload.ReplicaCrash{{Replica: 0, At: 10 * time.Second}}}
+	o := obs.NewObserver()
+	cl.Obs = o
+	res, err := cl.Run(determinismTrace(t, 301))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Retries == 0 {
+		t.Fatal("the crash must cause retries")
+	}
+	sampled := map[string]int{}
+	for _, s := range o.Samples() {
+		for _, c := range s.Classes {
+			sampled[c.Class] += c.TTFTMet
+		}
+	}
+	for class, met := range sampled {
+		if want := res.SLOByClass[class].TTFTMet; met > want {
+			t.Errorf("class %s: samples count %d TTFT-met, Result %d", class, met, want)
+		}
 	}
 }

@@ -120,9 +120,15 @@ type Trace struct {
 	Requests []Request
 }
 
-// Validate checks ordering and positivity.
+// Validate checks ordering, positivity, and that request IDs are
+// unique: KV allocation, obs spans and shed-or-buy ordering all key on
+// the ID. IDs in [0, n) — every generated trace — are tracked in a
+// bitset; a map holds only the others.
 func (t *Trace) Validate() error {
 	last := time.Duration(-1)
+	n := len(t.Requests)
+	seen := make([]uint64, (n+63)/64)
+	var other map[int]bool
 	for i, r := range t.Requests {
 		if r.Arrival < last {
 			return fmt.Errorf("workload: trace %s not time-ordered at index %d", t.Name, i)
@@ -131,6 +137,21 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("workload: trace %s request %d has non-positive sizes", t.Name, i)
 		}
 		last = r.Arrival
+		dup := false
+		if r.ID >= 0 && r.ID < n {
+			w, bit := r.ID/64, uint64(1)<<(r.ID%64)
+			dup = seen[w]&bit != 0
+			seen[w] |= bit
+		} else {
+			if other == nil {
+				other = map[int]bool{}
+			}
+			dup = other[r.ID]
+			other[r.ID] = true
+		}
+		if dup {
+			return fmt.Errorf("workload: trace %s repeats request ID %d at index %d", t.Name, r.ID, i)
+		}
 	}
 	return nil
 }

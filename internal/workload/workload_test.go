@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,11 +13,27 @@ import (
 
 func TestTraceValidate(t *testing.T) {
 	good := &Trace{Name: "g", Requests: []Request{
-		{Arrival: 0, InputTokens: 10, OutputTokens: 1},
-		{Arrival: time.Second, InputTokens: 10, OutputTokens: 1},
+		{ID: 0, Arrival: 0, InputTokens: 10, OutputTokens: 1},
+		{ID: 1, Arrival: time.Second, InputTokens: 10, OutputTokens: 1},
 	}}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	for _, ids := range [][3]int{{0, 1, 0}, {7, 9, 7}, {-1, 2, -1}} {
+		rep := &Trace{Name: "r", Requests: make([]Request, len(ids))}
+		for i, id := range ids {
+			rep.Requests[i] = Request{ID: id, InputTokens: 10, OutputTokens: 1}
+		}
+		err := rep.Validate()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("trace r repeats request ID %d at index 2", ids[0])) {
+			t.Fatalf("IDs %v: err %v, want a repeated-ID error naming the ID and index", ids, err)
+		}
+	}
+	outOfRange := &Trace{Name: "o", Requests: []Request{
+		{ID: 5, InputTokens: 10, OutputTokens: 1}, {ID: -3, InputTokens: 10, OutputTokens: 1},
+	}}
+	if err := outOfRange.Validate(); err != nil {
+		t.Fatalf("distinct out-of-range IDs: %v", err)
 	}
 	unordered := &Trace{Name: "u", Requests: []Request{
 		{Arrival: time.Second, InputTokens: 10, OutputTokens: 1},
