@@ -20,7 +20,6 @@ func ExtensionEP(e Env) (*stats.Table, error) {
 		cm   *perf.CostModel
 		name string
 		par  perf.Parallelism
-		ep   perf.EPConfig
 	}
 	var axes []axis
 	for _, m := range []model.Config{model.Llama17B16E(), model.Qwen30BA3B()} {
@@ -31,13 +30,16 @@ func ExtensionEP(e Env) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		base := BasePar(m)
+		ep := base
+		ep.EP = 8
 		axes = append(axes,
-			axis{m, cm, "Shift " + BasePar(m).String(), BasePar(m), perf.EPConfig{}},
-			axis{m, cm, "Shift " + BasePar(m).String() + "+EP8", BasePar(m), perf.EPConfig{Degree: 8}})
+			axis{m, cm, "Shift " + base.String(), base},
+			axis{m, cm, "Shift " + ep.String(), ep})
 		if m.Name == "Llama-17B-16E" {
 			// EP frees enough memory to deploy the full-SP base config
 			// that plain Shift cannot (Section 4.6's memory wall).
-			axes = append(axes, axis{m, cm, "Shift (SP=8)+EP8", perf.Parallelism{SP: 8, TP: 1}, perf.EPConfig{Degree: 8}})
+			axes = append(axes, axis{m, cm, "Shift (SP=8)+EP8", perf.Parallelism{SP: 8, TP: 1, EP: 8}})
 		}
 	}
 	type cell struct {
@@ -47,7 +49,7 @@ func ExtensionEP(e Env) (*stats.Table, error) {
 	}
 	cells, err := runCells(e, len(axes), func(i, _ int) (cell, error) {
 		a := axes[i]
-		cfg := serve.Config{CM: a.cm, Par: a.par, Strategy: serve.StrategyShift, EP: a.ep}
+		cfg := serve.Config{CM: a.cm, Par: a.par, Strategy: serve.StrategyShift}
 		cl := serve.SingleEngine(a.name, cfg)
 		ttft, tpot, err := cl.MinLatency(4096, 250)
 		if err != nil {
@@ -66,12 +68,12 @@ func ExtensionEP(e Env) (*stats.Table, error) {
 	for i, c := range cells {
 		a := axes[i]
 		if c.undeployable {
-			tab.AddRow(a.m.Name, a.name, a.cm.EPWeightBytesPerGPU(a.par, a.ep, true)/1e9, 0, "n/a", "n/a", "n/a")
+			tab.AddRow(a.m.Name, a.name, a.cm.WeightBytesPerGPU(a.par, true)/1e9, 0, "n/a", "n/a", "n/a")
 			continue
 		}
 		tab.AddRow(a.m.Name, a.name,
-			a.cm.EPWeightBytesPerGPU(a.par, a.ep, true)/1e9,
-			a.cm.EPKVCapacityTokens(a.par, a.ep, true),
+			a.cm.WeightBytesPerGPU(a.par, true)/1e9,
+			a.cm.KVCapacityTokens(a.par, true),
 			ms(c.ttft), ms(c.tpot), c.tput)
 	}
 	return tab, nil

@@ -7,22 +7,28 @@ import (
 	"repro/internal/model"
 )
 
+// withEP returns par with experts sharded ep ways.
+func withEP(par Parallelism, ep int) Parallelism {
+	par.EP = ep
+	return par
+}
+
 func moeCM(t *testing.T) *CostModel {
 	t.Helper()
 	return MustNew(hw.P5enNode(), model.Llama17B16E(), DefaultParams())
 }
 
 func TestEPValidate(t *testing.T) {
-	if err := (EPConfig{Degree: 8}).Validate(8); err != nil {
+	if err := (Parallelism{SP: 4, TP: 2, EP: 8}).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (EPConfig{Degree: 0}).Validate(8); err != nil {
+	if err := (Parallelism{SP: 4, TP: 2, EP: 0}).Validate(); err != nil {
 		t.Fatal("degree 0 (disabled) should validate")
 	}
-	if err := (EPConfig{Degree: 3}).Validate(8); err == nil {
+	if err := (Parallelism{SP: 4, TP: 2, EP: 3}).Validate(); err == nil {
 		t.Fatal("EP=3 should not divide world 8")
 	}
-	if err := (EPConfig{Degree: -1}).Validate(8); err == nil {
+	if err := (Parallelism{SP: 4, TP: 2, EP: -1}).Validate(); err == nil {
 		t.Fatal("negative degree should fail")
 	}
 }
@@ -31,7 +37,7 @@ func TestEPNoOpForDense(t *testing.T) {
 	cm := llamaCM(t)
 	b := Batch{PrefillTokens: 4096, PrefillCtx: 2048}
 	plain := cm.Iter(tp8, b)
-	ep := cm.IterEP(tp8, EPConfig{Degree: 8}, b)
+	ep := cm.Iter(withEP(tp8, 8), b)
 	if plain != ep {
 		t.Fatal("EP must be a no-op for dense models")
 	}
@@ -40,7 +46,7 @@ func TestEPNoOpForDense(t *testing.T) {
 func TestEPNoOpWhenDisabled(t *testing.T) {
 	cm := moeCM(t)
 	b := Batch{DecodeSeqs: 8, DecodeCtx: 2048}
-	if cm.Iter(sp4x2, b) != cm.IterEP(sp4x2, EPConfig{Degree: 1}, b) {
+	if cm.Iter(sp4x2, b) != cm.Iter(withEP(sp4x2, 1), b) {
 		t.Fatal("EP degree 1 must match plain Iter")
 	}
 }
@@ -56,7 +62,7 @@ func TestEPCutsWeightStreamingAtLargeBatch(t *testing.T) {
 	// TestEPSmallBatchTradeoff covers the other end.)
 	b := Batch{DecodeSeqs: 512, DecodeCtx: 2048}
 	plain := cm.Iter(sp4x2, b)
-	ep := cm.IterEP(sp4x2, EPConfig{Degree: 8}, b)
+	ep := cm.Iter(withEP(sp4x2, 8), b)
 	if ep.GEMM >= plain.GEMM/2 {
 		t.Fatalf("EP GEMM %v should be well under half of plain %v", ep.GEMM, plain.GEMM)
 	}
@@ -66,7 +72,7 @@ func TestEPAddsRoutingAllToAll(t *testing.T) {
 	cm := moeCM(t)
 	b := Batch{PrefillTokens: 8192, PrefillCtx: 4096}
 	plain := cm.Iter(sp4x2, b)
-	ep := cm.IterEP(sp4x2, EPConfig{Degree: 8}, b)
+	ep := cm.Iter(withEP(sp4x2, 8), b)
 	if ep.AllToAll <= plain.AllToAll {
 		t.Fatal("EP must add dispatch/combine all-to-all time")
 	}
@@ -79,7 +85,7 @@ func TestEPAddsRoutingAllToAll(t *testing.T) {
 func TestEPWeightFootprintShrinks(t *testing.T) {
 	cm := moeCM(t)
 	full := cm.WeightBytesPerGPU(Parallelism{SP: 8, TP: 1}, false) // 109 GB
-	ep8 := cm.EPWeightBytesPerGPU(Parallelism{SP: 8, TP: 1}, EPConfig{Degree: 8}, false)
+	ep8 := cm.WeightBytesPerGPU(Parallelism{SP: 8, TP: 1, EP: 8}, false)
 	// Shared 6 GB + 103/8 GB ~ 18.9 GB.
 	if ep8 >= full/3 {
 		t.Fatalf("EP=8 footprint %g should be far below %g", ep8, full)
@@ -100,7 +106,7 @@ func TestEPUnlocksFullSPForL17B(t *testing.T) {
 	if cm.KVCapacityTokens(sp8, true) >= longCtx {
 		t.Fatal("premise broken: SP=8 without EP should lack KV room")
 	}
-	if got := cm.EPKVCapacityTokens(sp8, EPConfig{Degree: 8}, true); got < longCtx {
+	if got := cm.KVCapacityTokens(withEP(sp8, 8), true); got < longCtx {
 		t.Fatalf("SP=8+EP=8 KV capacity %d should exceed %d", got, longCtx)
 	}
 }
@@ -108,7 +114,7 @@ func TestEPUnlocksFullSPForL17B(t *testing.T) {
 func TestEPKVCapacityDenseUnchanged(t *testing.T) {
 	cm := llamaCM(t)
 	a := cm.KVCapacityTokens(tp8, false)
-	b := cm.EPKVCapacityTokens(tp8, EPConfig{Degree: 8}, false)
+	b := cm.KVCapacityTokens(withEP(tp8, 8), false)
 	if a != b {
 		t.Fatal("EP must not change dense KV capacity")
 	}
@@ -121,7 +127,7 @@ func TestEPSmallBatchTradeoff(t *testing.T) {
 	cm := moeCM(t)
 	b := Batch{DecodeSeqs: 1, DecodeCtx: 1024}
 	plain := cm.Iter(sp4x2, b)
-	ep := cm.IterEP(sp4x2, EPConfig{Degree: 8}, b)
+	ep := cm.Iter(withEP(sp4x2, 8), b)
 	if ep.AllToAll <= plain.AllToAll {
 		t.Fatal("EP routing cost should appear even at batch 1")
 	}

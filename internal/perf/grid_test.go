@@ -43,13 +43,14 @@ func gridDump(t *testing.T) string {
 				if ep > 1 && base.World()%ep != 0 {
 					continue
 				}
-				par, epc := base, EPConfig{Degree: ep}
+				par := base
+				par.EP = ep
 				fmt.Fprintf(&sb, "%s %s ep=%d weights=%v shift-weights=%v kv=%d shift-kv=%d\n",
 					m.Name, base, ep,
-					cm.EPWeightBytesPerGPU(par, epc, false), cm.EPWeightBytesPerGPU(par, epc, true),
-					cm.EPKVCapacityTokens(par, epc, false), cm.EPKVCapacityTokens(par, epc, true))
+					cm.WeightBytesPerGPU(par, false), cm.WeightBytesPerGPU(par, true),
+					cm.KVCapacityTokens(par, false), cm.KVCapacityTokens(par, true))
 				for _, bc := range batches {
-					c := cm.IterEP(par, epc, bc.b)
+					c := cm.Iter(par, bc.b)
 					fmt.Fprintf(&sb, "  %s gemm=%d attn=%d allreduce=%d alltoall=%d overhead=%d\n",
 						bc.name, int64(c.GEMM), int64(c.Attn), int64(c.AllReduce), int64(c.AllToAll), int64(c.Overhead))
 				}

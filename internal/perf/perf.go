@@ -32,9 +32,18 @@ import (
 type Parallelism struct {
 	SP int
 	TP int
+	// EP shards a MoE model's experts EP ways over the same SP×TP GPUs
+	// (0 or 1 is off; dense models ignore it). It is the paper's stated
+	// future work (Section 4.6): each rank holds and streams only its
+	// own experts, and two token-routing all-to-alls per layer (dispatch
+	// and combine) move hidden states to the expert owners and back. EP
+	// leaves the KV layout untouched, so Shift's SP<->TP switching works
+	// unchanged with it.
+	EP int
 }
 
-// World returns SP*TP, the GPUs the engine spans.
+// World returns SP*TP, the GPUs the engine spans (expert shards sit on
+// the same GPUs).
 func (p Parallelism) World() int { return p.SP * p.TP }
 
 // Validate reports configuration errors.
@@ -42,21 +51,33 @@ func (p Parallelism) Validate() error {
 	if p.SP <= 0 || p.TP <= 0 {
 		return fmt.Errorf("perf: non-positive parallelism %+v", p)
 	}
+	if p.EP < 0 {
+		return fmt.Errorf("perf: negative EP degree %d", p.EP)
+	}
+	if p.EP > 1 && p.World()%p.EP != 0 {
+		return fmt.Errorf("perf: EP degree %d does not divide world %d", p.EP, p.World())
+	}
 	return nil
 }
 
-// String renders like the paper: "TP=8", "SP=8", "(SP=4,TP=2)".
+// String renders like the paper: "TP=8", "SP=8", "(SP=4,TP=2)", with
+// "+EP8" appended when experts are sharded.
 func (p Parallelism) String() string {
+	var s string
 	switch {
 	case p.SP == 1 && p.TP == 1:
-		return "1GPU"
+		s = "1GPU"
 	case p.SP == 1:
-		return fmt.Sprintf("TP=%d", p.TP)
+		s = fmt.Sprintf("TP=%d", p.TP)
 	case p.TP == 1:
-		return fmt.Sprintf("SP=%d", p.SP)
+		s = fmt.Sprintf("SP=%d", p.SP)
 	default:
-		return fmt.Sprintf("(SP=%d,TP=%d)", p.SP, p.TP)
+		s = fmt.Sprintf("(SP=%d,TP=%d)", p.SP, p.TP)
 	}
+	if p.EP > 1 {
+		s += fmt.Sprintf("+EP%d", p.EP)
+	}
+	return s
 }
 
 // Params are the calibration constants of the cost model.
@@ -201,7 +222,7 @@ func (cm *CostModel) Iter(par Parallelism, b Batch) Cost {
 	computeTime := flopsPerRank / (g.FP8Flops * eff)
 	// Weight streaming: each rank reads its weight shard once per
 	// iteration. MoE models read only the routed experts at small batch.
-	weightBytes := cm.weightReadBytes(tokens) / float64(par.TP)
+	weightBytes := cm.weightReadBytes(tokens, par.EP) / float64(par.TP)
 	memTime := weightBytes / (g.HBMBandwidth * cm.P.MemEff)
 	gemm := math.Max(computeTime, memTime)
 
@@ -238,9 +259,22 @@ func (cm *CostModel) Iter(par Parallelism, b Batch) Cost {
 		GEMM:      secs(gemm),
 		Attn:      secs(attn),
 		AllReduce: secs(allReduce),
-		AllToAll:  secs(allToAll),
+		AllToAll:  secs(allToAll) + secs(cm.expertAllToAll(par, rowsPerRank)),
 		Overhead:  cm.overhead(world),
 	}
+}
+
+// expertAllToAll is the EP dispatch and combine time in seconds: per
+// layer, each rank scatters its rows' hidden states to the expert
+// owners and gathers them back. It is 0 for dense models or EP off.
+func (cm *CostModel) expertAllToAll(par Parallelism, rowsPerRank float64) float64 {
+	if !cm.M.IsMoE() || par.EP <= 1 {
+		return 0
+	}
+	link := cm.Node.Link
+	msg := rowsPerRank * float64(cm.M.Hidden) * cm.P.ActBytes
+	per := 2*msg*float64(par.EP-1)/float64(par.EP)/link.LinkBandwidth + 2*float64(par.EP-1)*link.Latency
+	return float64(cm.M.Layers) * per
 }
 
 func (cm *CostModel) prefillFlops(b Batch) float64 {
@@ -255,16 +289,25 @@ func (cm *CostModel) decodeFlops(b Batch) float64 {
 	return cm.M.FlopsPerToken() * float64(b.DecodeSeqs)
 }
 
-// weightReadBytes returns the weight bytes streamed from HBM in one
-// iteration: dense models stream everything; MoE models stream only the
-// experts the batch activates (approaching all weights at large batch).
-func (cm *CostModel) weightReadBytes(tokens int) float64 {
+// weightReadBytes returns the weight bytes one rank streams from HBM in
+// one iteration (before the TP split): dense models stream everything;
+// MoE models stream only the experts the batch activates (approaching
+// all weights at large batch). With experts sharded ep ways the shared
+// (attention) weights stream fully, while the rank streams 1/ep of the
+// batch's activated expert volume, capped by its resident experts.
+func (cm *CostModel) weightReadBytes(tokens, ep int) float64 {
 	total := cm.M.WeightBytes()
 	if !cm.M.IsMoE() {
 		return total
 	}
-	activated := cm.M.ActiveWeightBytesPerToken() * float64(tokens)
-	return math.Min(total, activated)
+	if ep <= 1 {
+		activated := cm.M.ActiveWeightBytesPerToken() * float64(tokens)
+		return math.Min(total, activated)
+	}
+	dt := float64(cm.M.WeightDType.Bytes())
+	expertTotalPerRank := cm.M.ExpertParams() * dt / float64(ep)
+	activatedPerRank := cm.M.ActiveExpertParams() * dt * float64(tokens) / float64(ep)
+	return cm.M.SharedParams*dt + math.Min(expertTotalPerRank, activatedPerRank)
 }
 
 // kvShare is the fraction of the model's per-token KV bytes one rank
@@ -285,9 +328,15 @@ func (cm *CostModel) overhead(world int) time.Duration {
 
 // WeightBytesPerGPU returns the per-GPU weight footprint: w/TP for the
 // base configuration, plus w/(SP*TP) when a shift model is co-loaded
-// (Eq. 1 of the paper).
+// (Eq. 1 of the paper). Under EP the base config holds the shared
+// weights and 1/EP of the experts; the memory freed goes to the KV
+// cache, which is what lets SP=8 deploy Llama-17B-16E.
 func (cm *CostModel) WeightBytesPerGPU(par Parallelism, withShiftModel bool) float64 {
 	base := cm.M.WeightBytes() / float64(par.TP)
+	if cm.M.IsMoE() && par.EP > 1 {
+		dt := float64(cm.M.WeightDType.Bytes())
+		base = (cm.M.SharedParams*dt + cm.M.ExpertParams()*dt/float64(par.EP)) / float64(par.TP)
+	}
 	if withShiftModel {
 		base += cm.M.WeightBytes() / float64(par.World())
 	}

@@ -39,6 +39,7 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 func TestParallelismString(t *testing.T) {
 	cases := map[string]Parallelism{
 		"1GPU": dp1, "TP=8": tp8, "SP=8": sp8, "(SP=4,TP=2)": sp4x2,
+		"(SP=4,TP=2)+EP8": {SP: 4, TP: 2, EP: 8}, "TP=8+EP2": {SP: 1, TP: 8, EP: 2},
 	}
 	for want, p := range cases {
 		if got := p.String(); got != want {

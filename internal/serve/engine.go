@@ -56,10 +56,6 @@ type Config struct {
 	BlockTokens int
 	// Stack optionally composes SwiftKV and speculative decoding.
 	Stack specdec.Stack
-	// EP enables expert parallelism for MoE models (the paper's future
-	// work, implemented as an extension; see internal/perf/ep.go). The
-	// expert shards live on the same GPUs as the SP/TP grid.
-	EP perf.EPConfig
 	// PrefixCacheHitRate is the fraction of each prompt served from a
 	// prefix cache (vLLM automatic prefix caching): those tokens skip
 	// prefill compute but still occupy KV blocks. 0 disables.
@@ -171,9 +167,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: engine %q has no cost model", c.Name)
 	}
 	if err := c.Par.Validate(); err != nil {
-		return err
-	}
-	if err := c.EP.Validate(c.Par.World()); err != nil {
 		return err
 	}
 	if c.PrefixCacheHitRate < 0 || c.PrefixCacheHitRate >= 1 {
@@ -397,7 +390,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	cfg.CM = &cm
 
 	withShift := cfg.Strategy == StrategyShift && cfg.Par.World() > 1 && cfg.Par.SP > 1
-	capTokens := cfg.CM.EPKVCapacityTokens(cfg.Par, cfg.EP, withShift)
+	capTokens := cfg.CM.KVCapacityTokens(cfg.Par, withShift)
 	if capTokens <= 0 {
 		return nil, fmt.Errorf("serve: engine %q: model does not fit (%s, shift=%v)", cfg.Name, cfg.Par, withShift)
 	}
@@ -1041,7 +1034,7 @@ func (plan batchPlan) shape() perf.Batch {
 func (e *Engine) price(plan *batchPlan) perf.Cost {
 	shape := plan.shape()
 	plan.par = e.parFor(shape)
-	cost := e.cfg.CM.IterEP(plan.par, e.cfg.EP, shape)
+	cost := e.cfg.CM.Iter(plan.par, shape)
 	if e.slowFactor > 1 && e.now >= e.slowFrom && e.now < e.slowUntil {
 		f := e.slowFactor
 		cost.GEMM = time.Duration(float64(cost.GEMM) * f)
@@ -1159,5 +1152,5 @@ func (e *Engine) parFor(shape perf.Batch) perf.Parallelism {
 	if e.cfg.Strategy != StrategyShift || shape.Tokens() > e.cfg.ShiftThreshold {
 		return e.cfg.Par
 	}
-	return perf.Parallelism{SP: 1, TP: e.cfg.Par.World()}
+	return perf.Parallelism{SP: 1, TP: e.cfg.Par.World(), EP: e.cfg.Par.EP}
 }

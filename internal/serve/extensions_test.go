@@ -18,11 +18,11 @@ func moeCM(t *testing.T) *perf.CostModel {
 
 func TestEPConfigValidation(t *testing.T) {
 	cm := moeCM(t)
-	bad := Config{CM: cm, Par: perf.Parallelism{SP: 4, TP: 2}, EP: perf.EPConfig{Degree: 3}}
+	bad := Config{CM: cm, Par: perf.Parallelism{SP: 4, TP: 2, EP: 3}}
 	if _, err := NewEngine(bad); err == nil {
 		t.Fatal("EP=3 on world 8 should fail validation")
 	}
-	good := Config{CM: cm, Par: perf.Parallelism{SP: 4, TP: 2}, EP: perf.EPConfig{Degree: 8}}
+	good := Config{CM: cm, Par: perf.Parallelism{SP: 4, TP: 2, EP: 8}}
 	if _, err := NewEngine(good); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestEPUnlocksFullSPDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	withEP := noEP
-	withEP.EP = perf.EPConfig{Degree: 8}
+	withEP.Par.EP = 8
 	eYes, err := NewEngine(withEP)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestEPImprovesMoEThroughput(t *testing.T) {
 	cm := moeCM(t)
 	base := Config{CM: cm, Par: perf.Parallelism{SP: 4, TP: 2}, Strategy: StrategyShift}
 	withEP := base
-	withEP.EP = perf.EPConfig{Degree: 8}
+	withEP.Par.EP = 8
 
 	plain, err := SingleEngine("noEP", base).PeakThroughput(160, 4096, 250)
 	if err != nil {
@@ -72,7 +72,7 @@ func TestEPNoEffectOnDense(t *testing.T) {
 	cm := llamaCM(t)
 	base := Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 8}}
 	withEP := base
-	withEP.EP = perf.EPConfig{Degree: 8}
+	withEP.Par.EP = 8
 	a, err := SingleEngine("a", base).PeakThroughput(40, 2048, 100)
 	if err != nil {
 		t.Fatal(err)
