@@ -77,7 +77,6 @@ func Autoscaling(e Env, coldStarts []time.Duration) (*stats.Table, error) {
 		policy  string
 		cold    time.Duration
 		initial int
-		res     *serve.Result
 	}
 	var cells []cell
 	for _, n := range []int{autoscaleInitial, (autoscaleInitial + autoscaleMax) / 2, autoscaleMax} {
@@ -91,26 +90,20 @@ func Autoscaling(e Env, coldStarts []time.Duration) (*stats.Table, error) {
 			cells = append(cells, cell{policy: name, cold: cold, initial: autoscaleInitial})
 		}
 	}
-	pool := NewPool(e.Workers)
-	cellEnv := e
-	cellEnv.Workers = pool.CellWorkers(e.Workers)
-	// One observer cannot span concurrent sweep cells; the timeline
-	// scenario (fleet-timeline) is the traced window into this sweep.
-	cellEnv.Obs = nil
-	err = pool.Run(len(cells), func(i int) error {
-		c := &cells[i]
-		res, err := runAutoscalePolicy(cellEnv, cm, tr, c.policy, c.cold, c.initial)
-		if err != nil {
-			return err
-		}
-		c.res = res
-		return nil
+	results, err := runCells(e, len(cells), func(i, workers int) (*serve.Result, error) {
+		cellEnv := e
+		cellEnv.Workers = workers
+		// One observer cannot span concurrent sweep cells; the timeline
+		// scenario (fleet-timeline) is the traced window into this sweep.
+		cellEnv.Obs = nil
+		c := cells[i]
+		return runAutoscalePolicy(cellEnv, cm, tr, c.policy, c.cold, c.initial)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		res := c.res
+	for i, c := range cells {
+		res := results[i]
 		interactive := attainment(res, "interactive")
 		batch := attainment(res, "batch")
 		ttft := classTTFT(res, "interactive")

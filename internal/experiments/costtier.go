@@ -134,7 +134,6 @@ func CostTiered(e Env, bursts, prices []float64, fleet int, replicaHour float64)
 	type cell struct {
 		burst float64
 		price float64 // 0 marks the owned-fleet cell
-		res   *serve.Result
 	}
 	var cells []cell
 	for i := range bursts {
@@ -144,10 +143,8 @@ func CostTiered(e Env, bursts, prices []float64, fleet int, replicaHour float64)
 		}
 	}
 	perBurst := 1 + len(prices)
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
-		c := &cells[i]
+	results, err := runCells(e, len(cells), func(i, workers int) (*serve.Result, error) {
+		c := cells[i]
 		tr := traces[i/perBurst]
 		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16}
 		var cl serve.Cluster
@@ -167,18 +164,17 @@ func CostTiered(e Env, bursts, prices []float64, fleet int, replicaHour float64)
 		cl.Parallelism = workers
 		res, err := cl.Run(tr)
 		if err != nil {
-			return fmt.Errorf("burst %v price %v: %w", c.burst, c.price, err)
+			return nil, fmt.Errorf("burst %v price %v: %w", c.burst, c.price, err)
 		}
-		c.res = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Deployment", "Burst x", "$/Mtok", "TTFT-SLO %",
 		"CloudReq", "CloudTok", "Cloud $", "Owned $", "Total $", "Att %/$", "p99 TTFT ms")
-	for _, c := range cells {
-		res := c.res
+	for i, c := range cells {
+		res := results[i]
 		att := attainment(res, "interactive")
 		// Owned cells have no cloud tier: price the fleet by hand so the
 		// spend ledger is comparable across the row pair.
@@ -229,25 +225,15 @@ func ShedSpillBuy(e Env, modes []string, price, budget float64) (*stats.Table, e
 		return nil, err
 	}
 	tr := overloadTrace(e)
-	type cell struct {
-		mode string
-		res  *serve.Result
-	}
-	cells := make([]cell, len(modes))
-	for i, m := range modes {
-		cells[i] = cell{mode: m}
-	}
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
-		c := &cells[i]
+	results, err := runCells(e, len(modes), func(i, workers int) (*serve.Result, error) {
+		mode := modes[i]
 		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16}
-		cl := serve.DPCluster("hatch-"+c.mode, cfg, 2)
+		cl := serve.DPCluster("hatch-"+mode, cfg, 2)
 		cl.Lockstep = false
 		cl.Parallelism = workers
 		cl.Autoscale = fixedFleet(2)
 		cl.Router = serve.NewLiveLeastLoadedRouter()
-		switch c.mode {
+		switch mode {
 		case "none":
 		case "shed":
 			cfg.Admission = &serve.AdmissionConfig{Policy: serve.AdmissionDeadline}
@@ -258,25 +244,23 @@ func ShedSpillBuy(e Env, modes []string, price, budget float64) (*stats.Table, e
 			cfg.Admission = &serve.AdmissionConfig{Policy: serve.AdmissionShedOrBuy}
 			cl.Cloud = costTierCloud(price, budget)
 		default:
-			return fmt.Errorf("unknown mode %q (want one of %v)", c.mode, shedSpillBuyModes)
+			return nil, fmt.Errorf("unknown mode %q (want one of %v)", mode, shedSpillBuyModes)
 		}
 		for j := range cl.Configs {
 			cl.Configs[j].Admission = cfg.Admission
 		}
 		res, err := cl.Run(tr)
 		if err != nil {
-			return fmt.Errorf("%s: %w", c.mode, err)
+			return nil, fmt.Errorf("%s: %w", mode, err)
 		}
-		c.res = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	tab := stats.NewTable("Mode", "TTFT-SLO %", "Served TTFT-SLO %", "Shed",
 		"CloudReq", "Cloud $", "Total $", "Goodput tok/s", "Ktok/$", "p99 TTFT ms")
-	for _, c := range cells {
-		res := c.res
+	for i, res := range results {
 		att := attainment(res, "interactive")
 		servedRate := 1.0
 		if att.Requests > 0 {
@@ -303,7 +287,7 @@ func ShedSpillBuy(e Env, modes []string, price, budget float64) (*stats.Table, e
 			ktokPerDollar = float64(goodTok) / 1000 / total
 		}
 		ttft := classTTFT(res, "interactive")
-		tab.AddRow(c.mode, 100*att.TTFTRate(), 100*servedRate, res.Shed,
+		tab.AddRow(modes[i], 100*att.TTFTRate(), 100*servedRate, res.Shed,
 			res.CloudRequests, res.CloudSpend, total, goodput, ktokPerDollar, ttft.P99())
 	}
 	return tab, nil

@@ -79,7 +79,6 @@ func FailureRecovery(e Env, planNames []string, window time.Duration) (*stats.Ta
 	type cell struct {
 		policy string
 		plan   string
-		res    *serve.Result
 	}
 	var cells []cell
 	for _, policy := range serve.AutoscalerNames {
@@ -98,30 +97,22 @@ func FailureRecovery(e Env, planNames []string, window time.Duration) (*stats.Ta
 			break
 		}
 	}
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
-		c := &cells[i]
-		plan, err := failurePlan(c.plan, dur)
+	results, err := runCells(e, len(cells), func(i, workers int) (*serve.Result, error) {
+		plan, err := failurePlan(cells[i].plan, dur)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var o *obs.Observer
 		if i == traced {
 			o = e.Obs
 		}
-		res, err := runFailurePolicy(cm, tr, c.policy, plan, workers, o)
-		if err != nil {
-			return err
-		}
-		c.res = res
-		return nil
+		return runFailurePolicy(cm, tr, cells[i].policy, plan, workers, o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		res := c.res
+	for i, c := range cells {
+		res := results[i]
 		overall := attainment(res, "interactive")
 		recov := res.WindowAttainment("interactive", from, from+window)
 		ttft := classTTFT(res, "interactive")
@@ -193,19 +184,16 @@ func OutageSpillover(e Env, outage time.Duration) (*stats.Table, error) {
 	type cell struct {
 		policy string
 		dark   bool
-		res    *serve.Result
 	}
 	var cells []cell
 	for _, policy := range serve.GeoRouterNames {
 		cells = append(cells, cell{policy: policy}, cell{policy: policy, dark: true})
 	}
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
-		c := &cells[i]
+	results, err := runCells(e, len(cells), func(i, workers int) (*serve.Result, error) {
+		c := cells[i]
 		router, err := serve.NewGeoRouter(c.policy)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		g := serve.Geo{
 			Name:        "outage-" + c.policy,
@@ -225,16 +213,15 @@ func OutageSpillover(e Env, outage time.Duration) (*stats.Table, error) {
 		}
 		res, err := g.Run(tr)
 		if err != nil {
-			return fmt.Errorf("%s/dark=%v: %w", c.policy, c.dark, err)
+			return nil, fmt.Errorf("%s/dark=%v: %w", c.policy, c.dark, err)
 		}
-		c.res = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		res := c.res
+	for i, c := range cells {
+		res := results[i]
 		overall := attainment(res, "interactive")
 		during := res.WindowAttainment("interactive", start, start+outage)
 		ttft := classTTFT(res, "interactive")

@@ -189,15 +189,8 @@ func GeoServing(e Env, coldStarts []time.Duration) (*stats.Table, error) {
 	// in submission order, so the table is byte-identical to the serial
 	// sweep at any pool width.
 	cells := geoGrid(e, cm, topos, coldStarts)
-	pool := NewPool(e.Workers)
-	results := make([]*serve.Result, len(cells))
-	err = pool.Run(len(cells), func(i int) error {
-		res, err := cells[i].run(pool.CellWorkers(e.Workers))
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+	results, err := runCells(e, len(cells), func(i, workers int) (*serve.Result, error) {
+		return cells[i].run(workers)
 	})
 	if err != nil {
 		return nil, err

@@ -67,42 +67,30 @@ func AdmissionControl(e Env, policies []string) (*stats.Table, error) {
 	tr := overloadTrace(e)
 	tab := stats.NewTable("Policy", "TTFT-SLO %", "Served TTFT-SLO %",
 		"Shed", "Shed %", "ShedTok", "Goodput tok/s", "p99 TTFT ms", "Rejected")
-	type cell struct {
-		policy string
-		res    *serve.Result
-	}
-	cells := make([]cell, len(policies))
-	for i, p := range policies {
-		cells[i] = cell{policy: p}
-	}
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
-		c := &cells[i]
+	results, err := runCells(e, len(policies), func(i, workers int) (*serve.Result, error) {
+		policy := policies[i]
 		// MaxSeqs bounds the running batch like vLLM's max_num_seqs: the
 		// burst has to queue behind it, which is exactly the regime where
 		// admission control earns its keep (unbounded batching would
 		// instead absorb the burst as slow concurrent prefills).
 		cfg := serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}, MaxSeqs: 16}
-		if c.policy != serve.AdmissionNone {
-			cfg.Admission = &serve.AdmissionConfig{Policy: c.policy}
+		if policy != serve.AdmissionNone {
+			cfg.Admission = &serve.AdmissionConfig{Policy: policy}
 		}
-		cl := serve.DPCluster("admit-"+c.policy, cfg, 2)
+		cl := serve.DPCluster("admit-"+policy, cfg, 2)
 		cl.Lockstep = false
 		cl.Parallelism = workers
 		cl.Router = serve.NewLiveLeastLoadedRouter()
 		res, err := cl.Run(tr)
 		if err != nil {
-			return fmt.Errorf("%s: %w", c.policy, err)
+			return nil, fmt.Errorf("%s: %w", policy, err)
 		}
-		c.res = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		res := c.res
+	for i, res := range results {
 		att := attainment(res, "interactive")
 		servedRate := 1.0
 		if att.Requests > 0 {
@@ -125,7 +113,7 @@ func AdmissionControl(e Env, policies []string) (*stats.Table, error) {
 			shedPct = 100 * float64(res.Shed) / float64(n)
 		}
 		ttft := classTTFT(res, "interactive")
-		tab.AddRow(c.policy, 100*att.TTFTRate(), 100*servedRate,
+		tab.AddRow(policies[i], 100*att.TTFTRate(), 100*servedRate,
 			res.Shed, shedPct, res.ShedTokens, goodput, ttft.P99(), res.Rejected)
 	}
 	return tab, nil
@@ -188,23 +176,12 @@ func RetryStorm(e Env, modes []string, window time.Duration) (*stats.Table, erro
 	tab := stats.NewTable("Mode", "Int TTFT-SLO %", "Recovery TTFT-SLO %",
 		"Retries", "Amp", "Dropped", "BackoffWait s", "BreakerOpens",
 		"p99 TTFT ms", "Rejected")
-	type cell struct {
-		mode string
-		res  *serve.Result
-	}
-	cells := make([]cell, len(modes))
-	for i, m := range modes {
-		cells[i] = cell{mode: m}
-	}
-	pool := NewPool(e.Workers)
-	workers := pool.CellWorkers(e.Workers)
-	err = pool.Run(len(cells), func(i int) error {
-		c := &cells[i]
-		plan, err := retryStormPlan(c.mode, e.Seed, from)
+	results, err := runCells(e, len(modes), func(i, workers int) (*serve.Result, error) {
+		plan, err := retryStormPlan(modes[i], e.Seed, from)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cl := serve.DPCluster("storm-"+c.mode, serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
+		cl := serve.DPCluster("storm-"+modes[i], serve.Config{CM: cm, Par: perf.Parallelism{SP: 1, TP: 1}}, 4)
 		cl.Lockstep = false
 		cl.Parallelism = workers
 		cl.Router = serve.NewLiveLeastLoadedRouter()
@@ -212,16 +189,14 @@ func RetryStorm(e Env, modes []string, window time.Duration) (*stats.Table, erro
 		cl.Breakers = &serve.BreakerConfig{}
 		res, err := cl.Run(tr)
 		if err != nil {
-			return fmt.Errorf("%s: %w", c.mode, err)
+			return nil, fmt.Errorf("%s: %w", modes[i], err)
 		}
-		c.res = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cells {
-		res := c.res
+	for i, res := range results {
 		overall := attainment(res, "interactive")
 		recov := res.WindowAttainment("interactive", from, from+window)
 		amp := 0.0
@@ -229,7 +204,7 @@ func RetryStorm(e Env, modes []string, window time.Duration) (*stats.Table, erro
 			amp = float64(res.Retries) / float64(n)
 		}
 		ttft := classTTFT(res, "interactive")
-		tab.AddRow(c.mode, 100*overall.TTFTRate(), 100*recov.TTFTRate(),
+		tab.AddRow(modes[i], 100*overall.TTFTRate(), 100*recov.TTFTRate(),
 			res.Retries, amp, res.RejectedCrashDropped,
 			res.RetryBackoffWait.Seconds(), res.BreakerOpens,
 			ttft.P99(), res.Rejected)

@@ -4,21 +4,24 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/model"
+	"repro/internal/perf"
+	"repro/internal/serve"
 	"repro/internal/stats"
 )
 
 func TestPoolRunReturnsLowestIndexError(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
-	err := NewPool(4).Run(10, func(i int) error {
+	_, err := runCells(Env{Workers: 4}, 10, func(i, _ int) (int, error) {
 		switch i {
 		case 3:
-			return errB
+			return 0, errB
 		case 7:
-			return errA
+			return 0, errA
 		}
-		return nil
+		return i, nil
 	})
 	if err != errB {
 		t.Fatalf("got %v, want the lowest-index error %v", err, errB)
@@ -27,12 +30,13 @@ func TestPoolRunReturnsLowestIndexError(t *testing.T) {
 
 func TestPoolRunCoversAllCells(t *testing.T) {
 	hits := make([]bool, 25)
-	if err := NewPool(0).Run(len(hits), func(i int) error { hits[i] = true; return nil }); err != nil {
+	out, err := runCells(Env{}, len(hits), func(i, _ int) (int, error) { hits[i] = true; return i, nil })
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, h := range hits {
-		if !h {
-			t.Fatalf("cell %d not run", i)
+		if !h || out[i] != i {
+			t.Fatalf("cell %d not run or out of order (%d)", i, out[i])
 		}
 	}
 }
@@ -73,6 +77,38 @@ func TestRunCellsScenariosMatchSerial(t *testing.T) {
 			return AblationThreshold(e, []int{1, 256})
 		},
 		"extension-ep": func(e Env) (*stats.Table, error) { return ExtensionEP(e) },
+		"admission-control": func(e Env) (*stats.Table, error) {
+			return AdmissionControl(e, []string{serve.AdmissionNone, serve.AdmissionDeadline})
+		},
+		"retry-storm": func(e Env) (*stats.Table, error) {
+			return RetryStorm(e, []string{"immediate", "backoff"}, time.Minute)
+		},
+		"failure-recovery": func(e Env) (*stats.Table, error) {
+			return FailureRecovery(e, []string{"crash-restart"}, time.Minute)
+		},
+		"outage-spillover": func(e Env) (*stats.Table, error) { return OutageSpillover(e, time.Minute) },
+		"cost-tiered": func(e Env) (*stats.Table, error) {
+			return CostTiered(e, []float64{1}, []float64{20}, 4, 3)
+		},
+		"shed-spill-buy": func(e Env) (*stats.Table, error) {
+			return ShedSpillBuy(e, []string{"shed", "buy"}, 20, 0)
+		},
+		"autoscaling":     func(e Env) (*stats.Table, error) { return Autoscaling(e, []time.Duration{0}) },
+		"cluster-routing": func(e Env) (*stats.Table, error) { return ClusterRouting(e, []int{2}) },
+		"sim-grid": func(e Env) (*stats.Table, error) {
+			cm, err := perf.New(e.Node, model.Llama70B(), e.Params)
+			if err != nil {
+				return nil, err
+			}
+			topos, _ := geoSweepAxes(e, nil)
+			r, err := runSimGrid(geoGrid(e, cm, topos, []time.Duration{0}), e.Workers)
+			if err != nil {
+				return nil, err
+			}
+			tab := stats.NewTable("Cells", "Sim s")
+			tab.AddRow(r.Cells, r.SimSeconds)
+			return tab, nil
+		},
 	}
 	for name, sweep := range sweeps {
 		serialEnv := base
@@ -86,6 +122,9 @@ func TestRunCellsScenariosMatchSerial(t *testing.T) {
 		parallel, err := sweep(parallelEnv)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", name, err)
+		}
+		if len(serial.Rows) == 0 {
+			t.Errorf("%s: empty table", name)
 		}
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("%s diverged between pool widths:\nserial:\n%v\nparallel:\n%v", name, serial, parallel)

@@ -109,32 +109,28 @@ type routingCell struct {
 	n      int
 	router string
 	build  func(router serve.Router, workers int) serve.Cluster
-	res    *serve.Result
 }
 
 // runRoutingCells fans the cells over the worker pool and appends their
 // rows in submission order.
 func runRoutingCells(e Env, tab *stats.Table, cells []routingCell, tr *workload.Trace) error {
-	pool := NewPool(e.Workers)
-	err := pool.Run(len(cells), func(i int) error {
-		c := &cells[i]
+	results, err := runCells(e, len(cells), func(i, workers int) (*serve.Result, error) {
+		c := cells[i]
 		router, err := serve.NewRouter(c.router)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cl := c.build(router, pool.CellWorkers(e.Workers))
-		res, err := cl.Run(tr)
+		res, err := c.build(router, workers).Run(tr)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", c.fleet, c.router, err)
+			return nil, fmt.Errorf("%s/%s: %w", c.fleet, c.router, err)
 		}
-		c.res = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return err
 	}
-	for _, c := range cells {
-		routingRow(tab, c.fleet, c.n, c.router, c.res)
+	for i, c := range cells {
+		routingRow(tab, c.fleet, c.n, c.router, results[i])
 	}
 	return nil
 }

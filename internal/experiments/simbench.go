@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/conc"
 	"repro/internal/model"
 	"repro/internal/perf"
 	"repro/internal/serve"
@@ -34,16 +35,9 @@ type simGridResult struct {
 // the sweep it measures) on a pool of the given width and times the
 // whole sweep; simulated seconds sum the per-cell makespans.
 func runSimGrid(cells []geoCell, workers int) (simGridResult, error) {
-	pool := NewPool(workers)
-	results := make([]*serve.Result, len(cells))
 	start := time.Now()
-	err := pool.Run(len(cells), func(i int) error {
-		res, err := cells[i].run(pool.CellWorkers(workers))
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+	results, err := runCells(Env{Workers: workers}, len(cells), func(i, workers int) (*serve.Result, error) {
+		return cells[i].run(workers)
 	})
 	if err != nil {
 		return simGridResult{}, err
@@ -92,7 +86,7 @@ func SimulatorSpeed(e Env, reps int) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := NewPool(e.Workers).Workers()
+	workers := conc.Workers(e.Workers)
 	parallel, err := bestOf(cells, workers, reps)
 	if err != nil {
 		return nil, err
