@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/hw"
@@ -199,6 +200,11 @@ func Fig14(e Env, m model.Config, rates []float64) (*stats.Table, error) {
 		rates = []float64{0.5, 1, 2, 4, 6, 8, 10, 12}
 		if e.Quick {
 			rates = []float64{1, 4, 8}
+		}
+	}
+	for _, r := range rates {
+		if !(r > 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("arrival rate %v req/s must be positive and finite", r)
 		}
 	}
 	dur := time.Duration(e.scale(240)) * time.Second

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -191,6 +193,17 @@ func TestFig14CompletionVsRate(t *testing.T) {
 	}
 	if len(tab.Rows) != 3*2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+}
+
+// A non-positive rate used to panic inside workload.Poisson on a sweep
+// worker goroutine and kill the process; it is an input error.
+func TestFig14RejectsBadRate(t *testing.T) {
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		_, err := Fig14(quickEnv(), model.Llama70B(), []float64{1, rate})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(rate)) {
+			t.Errorf("rate %v: got error %v, want one naming the rate", rate, err)
+		}
 	}
 }
 
