@@ -169,6 +169,16 @@ func (c Config) Validate() error {
 	if err := c.Par.Validate(); err != nil {
 		return err
 	}
+	// withDefaults replaces only zeros; a negative value would silently
+	// reject every prompt, never shift, or break the KV allocator.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"ShiftThreshold", c.ShiftThreshold}, {"ChunkBudget", c.ChunkBudget}, {"MaxSeqs", c.MaxSeqs}, {"BlockTokens", c.BlockTokens}} {
+		if f.v < 0 {
+			return fmt.Errorf("serve: engine %q has negative %s %d", c.Name, f.name, f.v)
+		}
+	}
 	if c.PrefixCacheHitRate < 0 || c.PrefixCacheHitRate >= 1 {
 		return fmt.Errorf("serve: prefix cache hit rate %v outside [0, 1)", c.PrefixCacheHitRate)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -39,6 +40,21 @@ func TestConfigDefaults(t *testing.T) {
 	if c.ChunkBudget != DefaultChunkBudget || c.MaxSeqs != DefaultMaxSeqs ||
 		c.BlockTokens != DefaultBlockTokens || c.ShiftThreshold != DefaultShiftThreshold {
 		t.Fatalf("defaults = %+v", c)
+	}
+	// Only zero means "default": negative values are rejected with the
+	// engine, field and value named.
+	for field, set := range map[string]func(*Config){
+		"ShiftThreshold -5": func(c *Config) { c.ShiftThreshold = -5 },
+		"ChunkBudget -8":    func(c *Config) { c.ChunkBudget = -8 },
+		"MaxSeqs -1":        func(c *Config) { c.MaxSeqs = -1 },
+		"BlockTokens -16":   func(c *Config) { c.BlockTokens = -16 },
+	} {
+		cfg := Config{Name: "neg", CM: llamaCM(t), Par: perf.Parallelism{SP: 1, TP: 1}, Strategy: StrategyShift}
+		set(&cfg)
+		_, err := NewEngine(cfg)
+		if err == nil || !strings.Contains(err.Error(), `"neg" has negative `+field) {
+			t.Errorf("%s: got error %v", field, err)
+		}
 	}
 }
 
