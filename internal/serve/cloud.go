@@ -236,14 +236,8 @@ func (ct *cloudTier) offer(r workload.Request, now time.Duration, policy string)
 	ct.spend += price
 	ct.requests++
 	ct.tokensServed += r.TotalTokens()
-	m := RequestMetrics{
-		ID: r.ID, Class: r.Class, Arrival: r.SubmittedAt(),
-		InputTokens: r.InputTokens, OutputTokens: r.OutputTokens,
-		TTFT:       firstTok - r.SubmittedAt(),
-		Completion: done - r.SubmittedAt(),
-		Retries:    r.Retries, Priority: r.Priority, SLO: r.SLO,
-		Replica: CloudReplica, Origin: r.Origin,
-	}
+	m := requestRow(r, CloudReplica)
+	m.TTFT, m.Completion = firstTok-r.SubmittedAt(), done-r.SubmittedAt()
 	if r.OutputTokens > 1 {
 		m.TPOT = ct.cfg.PerToken
 	}

@@ -198,12 +198,9 @@ func (f *fleetState) applyCrashEvent(ev crashEvent, now time.Duration) []workloa
 // dropped after exhausting its crash-retry budget (or stranded with no
 // recoverable fleet to land on).
 func crashDroppedMetrics(r workload.Request, replica string) RequestMetrics {
-	return RequestMetrics{
-		ID: r.ID, Class: r.Class, Arrival: r.SubmittedAt(),
-		InputTokens: r.InputTokens, OutputTokens: r.OutputTokens,
-		Rejected: true, RejectReason: RejectCrashDropped, Retries: r.Retries,
-		Priority: r.Priority, SLO: r.SLO, Replica: replica, Origin: r.Origin,
-	}
+	m := requestRow(r, replica)
+	m.Rejected, m.RejectReason = true, RejectCrashDropped
+	return m
 }
 
 // Fault event kinds, in tie-break order at equal times: crashes land

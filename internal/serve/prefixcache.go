@@ -162,13 +162,9 @@ func (s *sharedTier) intercept(r workload.Request) bool {
 		return false
 	}
 	s.hits++
-	s.served = append(s.served, RequestMetrics{
-		ID: r.ID, Class: r.Class, Arrival: r.SubmittedAt(),
-		InputTokens: r.InputTokens, OutputTokens: r.OutputTokens,
-		TTFT: s.cfg.Latency, Completion: s.cfg.Latency,
-		Retries: r.Retries, Priority: r.Priority, SLO: r.SLO,
-		Replica: SharedCacheReplica, Origin: r.Origin,
-	})
+	m := requestRow(r, SharedCacheReplica)
+	m.TTFT, m.Completion = s.cfg.Latency, s.cfg.Latency
+	s.served = append(s.served, m)
 	return true
 }
 

@@ -84,32 +84,35 @@ func (m RequestMetrics) TPOTMet() bool {
 	return m.TPOT <= m.SLO.TPOT
 }
 
+// requestRow starts r's metrics row on the named replica: the fields
+// every terminal outcome echoes from the request. Callers add their
+// own timings or reject reason.
+func requestRow(r workload.Request, replica string) RequestMetrics {
+	return RequestMetrics{
+		ID: r.ID, Class: r.Class, Arrival: r.SubmittedAt(),
+		InputTokens: r.InputTokens, OutputTokens: r.OutputTokens,
+		Retries: r.Retries, Priority: r.Priority, SLO: r.SLO,
+		Replica: replica, Origin: r.Origin,
+	}
+}
+
 // metrics converts completed/rejected sequences into RequestMetrics.
 func (e *Engine) metrics(reqs []workload.Request) []RequestMetrics {
 	out := make([]RequestMetrics, 0, len(reqs))
 	for _, s := range e.completed {
-		m := RequestMetrics{
-			ID: s.req.ID, Class: s.req.Class, Arrival: s.req.SubmittedAt(),
-			InputTokens: s.req.InputTokens, OutputTokens: s.req.OutputTokens,
-			TTFT:        s.firstTok - s.req.SubmittedAt(),
-			Completion:  s.finished - s.req.SubmittedAt(),
-			Preemptions: s.preempted, Retries: s.req.Retries,
-			Priority: s.req.Priority, SLO: s.req.SLO,
-			Replica: e.cfg.Name, Origin: s.req.Origin,
-		}
+		m := requestRow(s.req, e.cfg.Name)
+		m.TTFT = s.firstTok - s.req.SubmittedAt()
+		m.Completion = s.finished - s.req.SubmittedAt()
+		m.Preemptions = s.preempted
 		if s.req.OutputTokens > 1 {
 			m.TPOT = (s.finished - s.firstTok) / time.Duration(s.req.OutputTokens-1)
 		}
 		out = append(out, m)
 	}
 	for _, s := range e.rejected {
-		out = append(out, RequestMetrics{
-			ID: s.req.ID, Class: s.req.Class, Arrival: s.req.SubmittedAt(),
-			InputTokens: s.req.InputTokens, OutputTokens: s.req.OutputTokens,
-			Rejected: true, RejectReason: s.rejectReason, Retries: s.req.Retries,
-			Priority: s.req.Priority, SLO: s.req.SLO,
-			Replica: e.cfg.Name, Origin: s.req.Origin,
-		})
+		m := requestRow(s.req, e.cfg.Name)
+		m.Rejected, m.RejectReason = true, s.rejectReason
+		out = append(out, m)
 	}
 	return out
 }
