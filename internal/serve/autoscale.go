@@ -356,9 +356,8 @@ func (rep *replica) remaining() int {
 
 // fleetState is the controller loop's per-fleet run state.
 type fleetState struct {
-	ac           AutoscaleConfig
-	name         string
-	recordEvents bool
+	ac   AutoscaleConfig
+	name string
 	// workers bounds the pool that steps live replicas concurrently
 	// between controller events (<=1 steps serially).
 	workers      int
@@ -429,7 +428,6 @@ func (f *fleetState) spawn(cfg Config, at, cold time.Duration) error {
 	if err != nil {
 		return err
 	}
-	e.setRecordIters(f.recordEvents)
 	track := f.obs.Stream(f.obsRegion, cfg.Name)
 	e.attachStream(track)
 	e.buyDivert = f.cloud != nil

@@ -311,6 +311,16 @@ func TestAutoscaleConfigErrors(t *testing.T) {
 		}
 	}
 
+	// The controller loop captures no IterEvents: asking for them on a
+	// controlled Cluster is an error, not a silently empty Result.Events.
+	events := DPCluster("events", gpu1Cfg(cm), 2)
+	events.Lockstep = false
+	events.Autoscale = &AutoscaleConfig{}
+	events.RecordEvents = true
+	if _, err := events.Run(tr); err == nil || !strings.Contains(err.Error(), "RecordEvents") {
+		t.Fatalf("RecordEvents on a controlled cluster: got error %v", err)
+	}
+
 	small := SingleEngine("bounds", gpu1Cfg(cm))
 	small.Autoscale = &AutoscaleConfig{Min: 2, Max: 4}
 	if _, err := small.Run(tr); err == nil {

@@ -16,11 +16,12 @@ import (
 type Cluster struct {
 	Name    string
 	Configs []Config
-	// RecordEvents enables per-iteration event capture (time series).
-	//
-	// Deprecated: this predates the obs layer and survives as a thin
-	// compatibility shim over the engine tap (Result.Events is
-	// unchanged). New consumers should set Obs and use its samples.
+	// RecordEvents captures one IterEvent per engine iteration into
+	// Result.Events: the iteration's end time, duration, token count and
+	// chosen parallelism. Figure 7's time series and Table 5's peak
+	// throughput column read it; obs has no per-iteration record. Only
+	// the plain route-then-replay path captures iterations, so Run
+	// rejects it on a controlled Cluster.
 	RecordEvents bool
 	// Obs, when set, collects request lifecycle spans and controller
 	// time series for the run (see internal/obs). nil keeps the run on
@@ -119,17 +120,19 @@ func (c Cluster) Run(t *workload.Trace) (*Result, error) {
 			// for (spawned replicas run on independent clocks).
 			return nil, fmt.Errorf("serve: autoscaling, fault injection, breakers, the shared cache and the cloud tier require independent replicas (Lockstep=false)")
 		}
+		if c.RecordEvents {
+			return nil, fmt.Errorf("serve: RecordEvents needs a plain Cluster; autoscaling, fault injection, breakers, the shared cache and the cloud tier run on the controller loop, which captures no IterEvents")
+		}
 		res, err := Geo{
-			Name:         c.Name,
-			Topology:     SingleRegion(c.Name),
-			Regions:      []Region{{Configs: c.Configs, Autoscale: c.Autoscale, Router: c.Router}},
-			Faults:       c.Faults,
-			Breakers:     c.Breakers,
-			SharedCache:  c.SharedCache,
-			Cloud:        c.Cloud,
-			RecordEvents: c.RecordEvents,
-			Obs:          c.Obs,
-			Parallelism:  c.Parallelism,
+			Name:        c.Name,
+			Topology:    SingleRegion(c.Name),
+			Regions:     []Region{{Configs: c.Configs, Autoscale: c.Autoscale, Router: c.Router}},
+			Faults:      c.Faults,
+			Breakers:    c.Breakers,
+			SharedCache: c.SharedCache,
+			Cloud:       c.Cloud,
+			Obs:         c.Obs,
+			Parallelism: c.Parallelism,
 		}.Run(t)
 		if err != nil {
 			return nil, err

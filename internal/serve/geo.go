@@ -422,12 +422,6 @@ type Geo struct {
 	// to their origin region with no RTT. nil keeps every legacy path
 	// byte-identical.
 	Cloud *CloudConfig
-	// RecordEvents enables per-iteration event capture on every engine.
-	//
-	// Deprecated: this predates the obs layer and survives as a thin
-	// compatibility shim over the engine tap (Result.Events is
-	// unchanged). New consumers should set Obs and use its samples.
-	RecordEvents bool
 	// Obs, when set, collects request lifecycle spans and per-region
 	// controller time series for the run (see internal/obs). Tracks:
 	// one process per region (replicas plus the regional balancer) and
@@ -706,7 +700,7 @@ func (g Geo) Run(t *workload.Trace) (*Result, error) {
 			r.reset()
 		}
 		fleet := &fleetState{
-			ac: ac, name: name, recordEvents: g.RecordEvents,
+			ac: ac, name: name,
 			workers: conc.Workers(g.Parallelism), breakers: g.Breakers,
 			cloud: cloud,
 		}

@@ -213,7 +213,8 @@ type Result struct {
 	ShiftIters int
 	Cost       perf.Cost
 
-	// Events, when recorded, allow time-series plots (Figure 7).
+	// Events, when recorded (Cluster.RecordEvents), feed Figure 7's time
+	// series and Table 5's peak throughput.
 	Events []IterEvent
 
 	// Fleet accounting. ReplicaSeconds integrates provisioned fleet size

@@ -21,11 +21,9 @@ type engineTap struct {
 	// restart, readmit, lost). nil when tracing is off.
 	stream *obs.Stream
 
-	// iters captures one IterEvent per engine iteration.
-	//
-	// Deprecated: this is the pre-obs time-series surface, kept so
-	// Cluster.RecordEvents and Result.Events keep working byte-for-byte.
-	// New code should sample through obs instead.
+	// iters captures one IterEvent per engine iteration for
+	// Cluster.RecordEvents (Result.Events): the per-iteration token
+	// record Figure 7 and Table 5 read, which obs does not keep.
 	iters       []IterEvent
 	recordIters bool
 }
@@ -60,7 +58,7 @@ func (e *Engine) attachStream(s *obs.Stream) {
 	e.ensureTap().stream = s
 }
 
-// setRecordIters enables the deprecated IterEvent capture.
+// setRecordIters enables IterEvent capture.
 func (e *Engine) setRecordIters(on bool) {
 	if !on {
 		return
