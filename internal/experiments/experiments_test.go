@@ -196,8 +196,8 @@ func TestFig14CompletionVsRate(t *testing.T) {
 	}
 }
 
-// A non-positive rate used to panic inside workload.Poisson on a sweep
-// worker goroutine and kill the process; it is an input error.
+// A rate workload.Poisson cannot sample (≤ 0, NaN, +Inf) is an input
+// error named in the message, not a panic on a sweep worker goroutine.
 func TestFig14RejectsBadRate(t *testing.T) {
 	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		_, err := Fig14(quickEnv(), model.Llama70B(), []float64{1, rate})
