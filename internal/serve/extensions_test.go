@@ -16,7 +16,7 @@ func moeCM(t *testing.T) *perf.CostModel {
 
 // --- Expert parallelism (paper future work) ---
 
-func TestEPConfigValidation(t *testing.T) {
+func TestEPDegreeValidation(t *testing.T) {
 	cm := moeCM(t)
 	bad := Config{CM: cm, Par: perf.Parallelism{SP: 4, TP: 2, EP: 3}}
 	if _, err := NewEngine(bad); err == nil {
