@@ -191,123 +191,202 @@ func MustNew(node hw.Node, m model.Config, p Params) *CostModel {
 	return cm
 }
 
-// gemmEff returns the achieved flop fraction for a linear-layer GEMM with
-// the given activation rows per rank and TP shard width.
-func (cm *CostModel) gemmEff(rowsPerRank float64, tp int) float64 {
-	rowFactor := rowsPerRank / (rowsPerRank + cm.P.GEMMRowsHalf)
-	shardFactor := 1 / (1 + cm.P.TPShardPenalty*float64(tp-1))
-	return cm.P.GEMMEffMax * rowFactor * shardFactor * cm.P.SlicePenalty
+// Iter prices one iteration of the batch under the parallelism. Engines
+// that price many iterations under a fixed parallelism should build its
+// Pricer once instead.
+func (cm *CostModel) Iter(par Parallelism, b Batch) Cost {
+	p := cm.Pricer(par)
+	return p.Iter(b)
 }
 
-// Iter prices one iteration of the batch under the parallelism.
-func (cm *CostModel) Iter(par Parallelism, b Batch) Cost {
+// Pricer prices iterations of one cost model under one parallelism.
+// CostModel.Pricer computes every batch-independent term once, so an
+// engine alternating between two fixed parallelisms (Shift's base and
+// full-TP configurations) pays only the batch-dependent arithmetic per
+// iteration. A Pricer is a snapshot: later edits to its CostModel do not
+// reach it.
+type Pricer struct {
+	par           Parallelism
+	sp, tp, world float64
+
+	// Linear layers.
+	flopsPerToken float64
+	prefillFactor float64 // PrefillFlopsFactor, 0 read as 1
+	fp8Flops      float64
+	gemmEffMax    float64
+	rowsHalf      float64
+	shardFactor   float64 // efficiency left after the TP shard-width penalty
+	slicePenalty  float64
+	memBW         float64 // achieved HBM bandwidth (HBMBandwidth * MemEff)
+
+	// Weight streaming: a dense model streams its whole shard every
+	// iteration (denseMem seconds); a MoE model streams the batch's
+	// routed experts (see moeWeightBytes).
+	moe                 bool
+	denseMem            float64
+	weightBytes         float64 // all weights
+	activeBytesPerToken float64
+	sharedBytes         float64
+	expertBytesPerRank  float64 // this rank's resident experts under EP
+	activeExpertBytes   float64 // expert bytes one token activates
+	ep                  float64
+
+	// Attention.
+	attnPerCtx      float64 // 4 * Hidden * Layers
+	attnRate        float64 // FP8Flops * AttnEff
+	kvBytesPerToken float64
+	kvShare         float64
+
+	// Collectives: per-layer message rows are rowsPerRank*hidden*actBytes.
+	hidden, actBytes, layers, linkBW float64
+	tpLess, arLatency, arLayers      float64 // TP-1, 2(TP-1)·latency, 2·layers
+	qkvFactor                        float64
+	spLess, a2aLatency               float64 // SP-1, 2(SP-1)·latency
+	epLess, epLatency                float64 // EP-1, 2(EP-1)·latency
+
+	overhead time.Duration
+}
+
+// Pricer builds the Pricer for par, panicking on an invalid parallelism.
+func (cm *CostModel) Pricer(par Parallelism) Pricer {
 	if err := par.Validate(); err != nil {
 		panic(err)
 	}
-	g := cm.Node.GPU
+	g, link, m := cm.Node.GPU, cm.Node.Link, &cm.M
 	world := par.World()
+	f := cm.PrefillFlopsFactor
+	if f == 0 {
+		f = 1
+	}
+	dt := float64(m.WeightDType.Bytes())
+	p := Pricer{
+		par:   par,
+		sp:    float64(par.SP),
+		tp:    float64(par.TP),
+		world: float64(world),
+
+		flopsPerToken: m.FlopsPerToken(),
+		prefillFactor: f,
+		fp8Flops:      g.FP8Flops,
+		gemmEffMax:    cm.P.GEMMEffMax,
+		rowsHalf:      cm.P.GEMMRowsHalf,
+		shardFactor:   1 / (1 + cm.P.TPShardPenalty*float64(par.TP-1)),
+		slicePenalty:  cm.P.SlicePenalty,
+		memBW:         g.HBMBandwidth * cm.P.MemEff,
+
+		moe:                 m.IsMoE(),
+		weightBytes:         m.WeightBytes(),
+		activeBytesPerToken: m.ActiveWeightBytesPerToken(),
+		sharedBytes:         m.SharedParams * dt,
+		activeExpertBytes:   m.ActiveExpertParams() * dt,
+		ep:                  float64(par.EP),
+
+		attnPerCtx:      4 * float64(m.Hidden) * float64(m.Layers),
+		attnRate:        g.FP8Flops * cm.P.AttnEff,
+		kvBytesPerToken: m.KVBytesPerToken(),
+		kvShare:         cm.kvShare(world),
+
+		hidden:     float64(m.Hidden),
+		actBytes:   cm.P.ActBytes,
+		layers:     float64(m.Layers),
+		linkBW:     link.LinkBandwidth,
+		tpLess:     float64(par.TP - 1),
+		arLatency:  2 * float64(par.TP-1) * link.Latency,
+		arLayers:   2 * float64(m.Layers),
+		spLess:     float64(par.SP - 1),
+		a2aLatency: 2 * float64(par.SP-1) * link.Latency,
+		epLess:     float64(par.EP - 1),
+		epLatency:  2 * float64(par.EP-1) * link.Latency,
+
+		overhead: cm.P.OverheadBase + time.Duration(world-1)*cm.P.OverheadPerRank,
+	}
+	p.denseMem = p.weightBytes / p.tp / p.memBW
+	if par.EP > 1 {
+		p.expertBytesPerRank = m.ExpertParams() * dt / p.ep
+	}
+	// The first SP all-to-all carries q + (replicated) kv heads; the
+	// second carries the attention output (q-width only).
+	p.qkvFactor = 1 + 2*float64(m.KVHeads)*p.kvShare*p.world/float64(m.QHeads)
+	return p
+}
+
+// Par returns the parallelism the Pricer prices.
+func (p *Pricer) Par() Parallelism { return p.par }
+
+// Iter prices one iteration of the batch.
+func (p *Pricer) Iter(b Batch) Cost {
 	tokens := b.Tokens()
 	if tokens == 0 {
-		return Cost{Overhead: cm.overhead(world)}
+		return Cost{Overhead: p.overhead}
 	}
 
 	// Decode padding (Section 3.2.1): SP distributes rows evenly only in
 	// multiples of SP; stragglers set the pace, so every rank effectively
 	// processes ceil(tokens/SP) rows.
-	rowsPerRank := float64(ceilDiv(tokens, par.SP))
+	rowsPerRank := float64(ceilDiv(tokens, p.par.SP))
 
 	// --- Linear layers (roofline) ---
-	flopsPerRank := (cm.prefillFlops(b) + cm.decodeFlops(b)) / float64(par.SP) / float64(par.TP)
-	eff := cm.gemmEff(rowsPerRank, par.TP)
-	computeTime := flopsPerRank / (g.FP8Flops * eff)
+	flops := p.flopsPerToken*float64(b.PrefillTokens)*p.prefillFactor + p.flopsPerToken*float64(b.DecodeSeqs)
+	flopsPerRank := flops / p.sp / p.tp
+	// GEMM efficiency falls with narrow activations and narrow TP shards.
+	eff := p.gemmEffMax * (rowsPerRank / (rowsPerRank + p.rowsHalf)) * p.shardFactor * p.slicePenalty
+	computeTime := flopsPerRank / (p.fp8Flops * eff)
 	// Weight streaming: each rank reads its weight shard once per
 	// iteration. MoE models read only the routed experts at small batch.
-	weightBytes := cm.weightReadBytes(tokens, par.EP) / float64(par.TP)
-	memTime := weightBytes / (g.HBMBandwidth * cm.P.MemEff)
+	memTime := p.denseMem
+	if p.moe {
+		memTime = p.moeWeightBytes(tokens) / p.tp / p.memBW
+	}
 	gemm := math.Max(computeTime, memTime)
 
 	// --- Attention (head-parallel across all world ranks) ---
-	attnFlops := 4 * float64(cm.M.Hidden) * float64(cm.M.Layers) *
-		(float64(b.PrefillTokens)*b.PrefillCtx + float64(b.DecodeSeqs)*b.DecodeCtx)
-	attnCompute := attnFlops / float64(world) / (g.FP8Flops * cm.P.AttnEff)
+	attnFlops := p.attnPerCtx * (float64(b.PrefillTokens)*b.PrefillCtx + float64(b.DecodeSeqs)*b.DecodeCtx)
+	attnCompute := attnFlops / p.world / p.attnRate
 	// Decode KV streaming: each decoding sequence reads its full cached
 	// context for this rank's heads (replication multiplies the share).
-	kvBytes := float64(b.DecodeSeqs) * b.DecodeCtx * cm.M.KVBytesPerToken() * cm.kvShare(world)
-	attnMem := kvBytes / (g.HBMBandwidth * cm.P.MemEff)
+	kvBytes := float64(b.DecodeSeqs) * b.DecodeCtx * p.kvBytesPerToken * p.kvShare
+	attnMem := kvBytes / p.memBW
 	attn := math.Max(attnCompute, attnMem)
 
 	// --- Collectives (per layer: 2 all-reduces on the TP group, 2
 	// all-to-alls on the SP group; Table 2) ---
-	var allReduce, allToAll float64
-	link := cm.Node.Link
-	if par.TP > 1 {
-		msg := rowsPerRank * float64(cm.M.Hidden) * cm.P.ActBytes
-		per := 2*msg*float64(par.TP-1)/float64(par.TP)/link.LinkBandwidth + 2*float64(par.TP-1)*link.Latency
-		allReduce = 2 * float64(cm.M.Layers) * per
+	var allReduce, allToAll, expert float64
+	msg := rowsPerRank * p.hidden * p.actBytes
+	if p.par.TP > 1 {
+		per := 2*msg*p.tpLess/p.tp/p.linkBW + p.arLatency
+		allReduce = p.arLayers * per
 	}
-	if par.SP > 1 {
-		// First all-to-all carries q + (replicated) kv heads; second
-		// carries the attention output (q-width only).
-		qkvFactor := 1 + 2*float64(cm.M.KVHeads)*cm.kvShare(world)*float64(world)/float64(cm.M.QHeads)
-		msg1 := rowsPerRank * float64(cm.M.Hidden) * cm.P.ActBytes * qkvFactor
-		msg2 := rowsPerRank * float64(cm.M.Hidden) * cm.P.ActBytes
-		per := (msg1+msg2)*float64(par.SP-1)/float64(par.SP)/link.LinkBandwidth + 2*float64(par.SP-1)*link.Latency
-		allToAll = float64(cm.M.Layers) * per
+	if p.par.SP > 1 {
+		per := (msg*p.qkvFactor+msg)*p.spLess/p.sp/p.linkBW + p.a2aLatency
+		allToAll = p.layers * per
+	}
+	// EP dispatch and combine: per layer, each rank scatters its rows'
+	// hidden states to the expert owners and gathers them back.
+	if p.moe && p.par.EP > 1 {
+		per := 2*msg*p.epLess/p.ep/p.linkBW + p.epLatency
+		expert = p.layers * per
 	}
 
 	return Cost{
 		GEMM:      secs(gemm),
 		Attn:      secs(attn),
 		AllReduce: secs(allReduce),
-		AllToAll:  secs(allToAll) + secs(cm.expertAllToAll(par, rowsPerRank)),
-		Overhead:  cm.overhead(world),
+		AllToAll:  secs(allToAll) + secs(expert),
+		Overhead:  p.overhead,
 	}
 }
 
-// expertAllToAll is the EP dispatch and combine time in seconds: per
-// layer, each rank scatters its rows' hidden states to the expert
-// owners and gathers them back. It is 0 for dense models or EP off.
-func (cm *CostModel) expertAllToAll(par Parallelism, rowsPerRank float64) float64 {
-	if !cm.M.IsMoE() || par.EP <= 1 {
-		return 0
+// moeWeightBytes returns the weight bytes one rank of a MoE model
+// streams from HBM in one iteration (before the TP split): only the
+// experts the batch activates, approaching all weights at large batch.
+// With experts sharded EP ways the shared (attention) weights stream
+// fully, while the rank streams 1/EP of the batch's activated expert
+// volume, capped by its resident experts.
+func (p *Pricer) moeWeightBytes(tokens int) float64 {
+	if p.par.EP <= 1 {
+		return math.Min(p.weightBytes, p.activeBytesPerToken*float64(tokens))
 	}
-	link := cm.Node.Link
-	msg := rowsPerRank * float64(cm.M.Hidden) * cm.P.ActBytes
-	per := 2*msg*float64(par.EP-1)/float64(par.EP)/link.LinkBandwidth + 2*float64(par.EP-1)*link.Latency
-	return float64(cm.M.Layers) * per
-}
-
-func (cm *CostModel) prefillFlops(b Batch) float64 {
-	f := cm.PrefillFlopsFactor
-	if f == 0 {
-		f = 1
-	}
-	return cm.M.FlopsPerToken() * float64(b.PrefillTokens) * f
-}
-
-func (cm *CostModel) decodeFlops(b Batch) float64 {
-	return cm.M.FlopsPerToken() * float64(b.DecodeSeqs)
-}
-
-// weightReadBytes returns the weight bytes one rank streams from HBM in
-// one iteration (before the TP split): dense models stream everything;
-// MoE models stream only the experts the batch activates (approaching
-// all weights at large batch). With experts sharded ep ways the shared
-// (attention) weights stream fully, while the rank streams 1/ep of the
-// batch's activated expert volume, capped by its resident experts.
-func (cm *CostModel) weightReadBytes(tokens, ep int) float64 {
-	total := cm.M.WeightBytes()
-	if !cm.M.IsMoE() {
-		return total
-	}
-	if ep <= 1 {
-		activated := cm.M.ActiveWeightBytesPerToken() * float64(tokens)
-		return math.Min(total, activated)
-	}
-	dt := float64(cm.M.WeightDType.Bytes())
-	expertTotalPerRank := cm.M.ExpertParams() * dt / float64(ep)
-	activatedPerRank := cm.M.ActiveExpertParams() * dt * float64(tokens) / float64(ep)
-	return cm.M.SharedParams*dt + math.Min(expertTotalPerRank, activatedPerRank)
+	return p.sharedBytes + math.Min(p.expertBytesPerRank, p.activeExpertBytes*float64(tokens)/p.ep)
 }
 
 // kvShare is the fraction of the model's per-token KV bytes one rank
@@ -318,10 +397,6 @@ func (cm *CostModel) kvShare(world int) float64 {
 		return 1 / float64(world)
 	}
 	return 1 / float64(cm.M.KVHeads)
-}
-
-func (cm *CostModel) overhead(world int) time.Duration {
-	return cm.P.OverheadBase + time.Duration(world-1)*cm.P.OverheadPerRank
 }
 
 // --- Memory sizing ---

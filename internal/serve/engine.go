@@ -316,6 +316,10 @@ type Engine struct {
 	now       time.Duration
 	completed []*seq
 
+	// base and shift price iterations under cfg.Par and Algorithm 2's
+	// full-TP shift configuration; built once from the cloned cost model.
+	base, shift perf.Pricer
+
 	// sloAware flips on the first admitted request carrying a non-zero
 	// Priority or an SLO; until then every scheduling decision is
 	// bit-for-bit identical to the FIFO engine.
@@ -407,6 +411,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:   cfg,
 		alloc: kvcache.NewAllocator(cfg.BlockTokens, capTokens/cfg.BlockTokens),
+		base:  cfg.CM.Pricer(cfg.Par),
+		shift: cfg.CM.Pricer(perf.Parallelism{SP: 1, TP: cfg.Par.World(), EP: cfg.Par.EP}),
 	}
 	if cfg.PrefixCache != nil {
 		// The cache cannot remember more prefix than the replica can hold.
@@ -1040,11 +1046,16 @@ func (plan batchPlan) shape() perf.Batch {
 }
 
 // price selects the parallelism (Algorithm 2), records it on the plan,
-// and prices the iteration, applying any active degrade window.
+// and prices the iteration through that parallelism's Pricer, applying
+// any active degrade window.
 func (e *Engine) price(plan *batchPlan) perf.Cost {
 	shape := plan.shape()
 	plan.par = e.parFor(shape)
-	cost := e.cfg.CM.Iter(plan.par, shape)
+	pr := &e.base
+	if plan.par != e.cfg.Par {
+		pr = &e.shift
+	}
+	cost := pr.Iter(shape)
 	if e.slowFactor > 1 && e.now >= e.slowFrom && e.now < e.slowUntil {
 		f := e.slowFactor
 		cost.GEMM = time.Duration(float64(cost.GEMM) * f)
@@ -1162,5 +1173,5 @@ func (e *Engine) parFor(shape perf.Batch) perf.Parallelism {
 	if e.cfg.Strategy != StrategyShift || shape.Tokens() > e.cfg.ShiftThreshold {
 		return e.cfg.Par
 	}
-	return perf.Parallelism{SP: 1, TP: e.cfg.Par.World(), EP: e.cfg.Par.EP}
+	return e.shift.Par()
 }

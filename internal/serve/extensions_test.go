@@ -28,6 +28,30 @@ func TestEPDegreeValidation(t *testing.T) {
 	}
 }
 
+// The engine prices through two Pricers built once in NewEngine. Below
+// the threshold, Algorithm 2 picks full TP with the experts still
+// sharded EP ways, and the shift Pricer must price exactly what the
+// engine's cost model prices for that parallelism; above it, the base
+// Pricer must match the base parallelism.
+func TestShiftPricerMatchesParFor(t *testing.T) {
+	e := mustEngine(t, Config{CM: moeCM(t), Par: perf.Parallelism{SP: 4, TP: 2, EP: 8}, Strategy: StrategyShift})
+	small := batchPlan{decodes: []*seq{{prefilled: 1000, decoded: 3}}, specTokens: 1}
+	cost := e.price(&small)
+	if want := (perf.Parallelism{SP: 1, TP: 8, EP: 8}); small.par != want || e.shift.Par() != want {
+		t.Fatalf("shift par %v (pricer %v), want %v", small.par, e.shift.Par(), want)
+	}
+	if want := e.cfg.CM.Iter(small.par, small.shape()); cost != want {
+		t.Fatalf("shift pricer %+v, cost model %+v", cost, want)
+	}
+	big := perf.Batch{PrefillTokens: 4096, PrefillCtx: 2048}
+	if par := e.parFor(big); par != e.cfg.Par {
+		t.Fatalf("large batch ran %v, want base %v", par, e.cfg.Par)
+	}
+	if got, want := e.base.Iter(big), e.cfg.CM.Iter(e.cfg.Par, big); got != want {
+		t.Fatalf("base pricer %+v, cost model %+v", got, want)
+	}
+}
+
 // SP=8 alone cannot deploy L17B-16E with a shift model (no KV room);
 // SP=8 + EP=8 can — EP unlocks the full-SP base config.
 func TestEPUnlocksFullSPDeployment(t *testing.T) {
