@@ -11,14 +11,16 @@ import (
 var ErrNoSpace = errors.New("kvcache: out of blocks")
 
 // Allocator is a vLLM-style paged KV block allocator. Blocks hold
-// BlockTokens tokens each; sequences own block lists that grow during
-// decode. The allocator only accounts — values live elsewhere.
+// BlockTokens tokens each. Every sequence's block count lives with the
+// sequence itself, as PagedAttention keeps each block table with its
+// sequence: callers pass that count to Ensure, CanEnsure and Release,
+// and the allocator keeps only the free count. It only accounts —
+// values live elsewhere.
 type Allocator struct {
 	BlockTokens int
 	NumBlocks   int
 
-	free   int
-	tables map[int]int // seqID -> blocks held
+	free int
 }
 
 // NewAllocator returns an allocator over numBlocks blocks of blockTokens
@@ -31,7 +33,6 @@ func NewAllocator(blockTokens, numBlocks int) *Allocator {
 		BlockTokens: blockTokens,
 		NumBlocks:   numBlocks,
 		free:        numBlocks,
-		tables:      make(map[int]int),
 	}
 }
 
@@ -52,14 +53,12 @@ func (a *Allocator) UsedBlocks() int { return a.NumBlocks - a.free }
 // FreeTokens returns the token capacity of the free blocks.
 func (a *Allocator) FreeTokens() int { return a.free * a.BlockTokens }
 
-// Holds returns the number of blocks currently owned by the sequence.
-func (a *Allocator) Holds(seqID int) int { return a.tables[seqID] }
-
-// Ensure grows the sequence's allocation to cover tokens total tokens.
-// It is idempotent: ensuring a smaller count is a no-op. Returns
-// ErrNoSpace (allocating nothing) if the growth cannot be satisfied.
-func (a *Allocator) Ensure(seqID, tokens int) error {
-	need := a.BlocksFor(tokens) - a.tables[seqID]
+// Ensure grows a sequence's allocation, *held blocks, to cover tokens
+// total tokens. It is idempotent: ensuring a smaller count is a no-op.
+// Returns ErrNoSpace (allocating nothing) if the growth cannot be
+// satisfied.
+func (a *Allocator) Ensure(held *int32, tokens int) error {
+	need := a.BlocksFor(tokens) - int(*held)
 	if need <= 0 {
 		return nil
 	}
@@ -67,34 +66,24 @@ func (a *Allocator) Ensure(seqID, tokens int) error {
 		return ErrNoSpace
 	}
 	a.free -= need
-	a.tables[seqID] += need
+	*held += int32(need)
 	return nil
 }
 
-// CanEnsure reports whether Ensure(seqID, tokens) would succeed.
-func (a *Allocator) CanEnsure(seqID, tokens int) bool {
-	return a.BlocksFor(tokens)-a.tables[seqID] <= a.free
+// CanEnsure reports whether Ensure(&held, tokens) would succeed.
+func (a *Allocator) CanEnsure(held int32, tokens int) bool {
+	return a.BlocksFor(tokens)-int(held) <= a.free
 }
 
-// Release frees every block owned by the sequence.
-func (a *Allocator) Release(seqID int) {
-	a.free += a.tables[seqID]
-	delete(a.tables, seqID)
+// Release frees the *held blocks of a sequence and zeroes its count.
+func (a *Allocator) Release(held *int32) {
+	a.free += int(*held)
+	*held = 0
 }
 
-// Sequences returns the number of sequences holding blocks.
-func (a *Allocator) Sequences() int { return len(a.tables) }
-
-// CheckInvariant verifies conservation: free + held == total. The serving
-// simulator calls this after every scheduling step in tests.
-func (a *Allocator) CheckInvariant() error {
-	held := 0
-	for id, n := range a.tables {
-		if n <= 0 {
-			return fmt.Errorf("kvcache: seq %d holds %d blocks", id, n)
-		}
-		held += n
-	}
+// CheckInvariant verifies conservation: held, the block counts of every
+// live sequence summed, plus the free count equals the total.
+func (a *Allocator) CheckInvariant(held int) error {
 	if held+a.free != a.NumBlocks {
 		return fmt.Errorf("kvcache: leak: held %d + free %d != total %d", held, a.free, a.NumBlocks)
 	}

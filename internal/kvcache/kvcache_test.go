@@ -141,78 +141,100 @@ func TestAllocatorBasics(t *testing.T) {
 	if a.BlocksFor(1) != 1 || a.BlocksFor(16) != 1 || a.BlocksFor(17) != 2 || a.BlocksFor(0) != 0 {
 		t.Fatal("BlocksFor wrong")
 	}
-	if err := a.Ensure(1, 40); err != nil { // 3 blocks
+	var held int32
+	if err := a.Ensure(&held, 40); err != nil { // 3 blocks
 		t.Fatal(err)
 	}
-	if a.Holds(1) != 3 || a.FreeBlocks() != 7 {
-		t.Fatalf("holds=%d free=%d", a.Holds(1), a.FreeBlocks())
+	if held != 3 || a.FreeBlocks() != 7 {
+		t.Fatalf("holds=%d free=%d", held, a.FreeBlocks())
 	}
 	// Growing to 50 tokens needs 4 blocks total, 1 more.
-	if err := a.Ensure(1, 50); err != nil {
+	if err := a.Ensure(&held, 50); err != nil {
 		t.Fatal(err)
 	}
-	if a.Holds(1) != 4 {
-		t.Fatalf("holds = %d", a.Holds(1))
+	if held != 4 {
+		t.Fatalf("holds = %d", held)
 	}
 	// Shrinking request is a no-op.
-	if err := a.Ensure(1, 10); err != nil || a.Holds(1) != 4 {
+	if err := a.Ensure(&held, 10); err != nil || held != 4 || a.FreeBlocks() != 6 {
 		t.Fatal("shrink should be no-op")
 	}
-	a.Release(1)
-	if a.FreeBlocks() != 10 || a.Sequences() != 0 {
+	a.Release(&held)
+	if a.FreeBlocks() != 10 || held != 0 {
 		t.Fatal("release did not return blocks")
 	}
 }
 
 func TestAllocatorNoSpace(t *testing.T) {
 	a := NewAllocator(16, 2)
-	if err := a.Ensure(1, 32); err != nil {
+	var one, two int32
+	if err := a.Ensure(&one, 32); err != nil {
 		t.Fatal(err)
 	}
-	err := a.Ensure(2, 1)
+	err := a.Ensure(&two, 1)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("err = %v", err)
 	}
 	// Failed ensure must not leak partial allocations.
-	if a.Holds(2) != 0 || a.FreeBlocks() != 0 {
+	if two != 0 || a.FreeBlocks() != 0 {
 		t.Fatal("failed ensure leaked blocks")
 	}
-	if a.CanEnsure(2, 1) {
+	if a.CanEnsure(two, 1) {
 		t.Fatal("CanEnsure should be false")
 	}
-	a.Release(1)
-	if !a.CanEnsure(2, 32) {
+	// All or nothing: a growth one block short of fitting allocates none.
+	a.Release(&one)
+	if err := a.Ensure(&two, 48); !errors.Is(err, ErrNoSpace) || two != 0 || a.FreeBlocks() != 2 {
+		t.Fatalf("partial ensure: err=%v held=%d free=%d", err, two, a.FreeBlocks())
+	}
+	if !a.CanEnsure(two, 32) {
 		t.Fatal("CanEnsure should be true after release")
 	}
 }
 
 func TestAllocatorInvariant(t *testing.T) {
 	a := NewAllocator(8, 100)
-	for i := 0; i < 20; i++ {
-		if err := a.Ensure(i, 8*(i%5+1)); err != nil {
+	held := make([]int32, 20)
+	for i := range held {
+		if err := a.Ensure(&held[i], 8*(i%5+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 20; i += 2 {
-		a.Release(i)
+	for i := 0; i < len(held); i += 2 {
+		a.Release(&held[i])
 	}
-	if err := a.CheckInvariant(); err != nil {
+	sum := 0
+	for _, n := range held {
+		sum += int(n)
+	}
+	if err := a.CheckInvariant(sum); err != nil {
 		t.Fatal(err)
+	}
+	if a.CheckInvariant(sum+1) == nil {
+		t.Fatal("a miscounted sum passed the invariant")
 	}
 }
 
 func TestQuickAllocatorConservation(t *testing.T) {
 	f := func(ops []uint16) bool {
 		a := NewAllocator(4, 64)
+		var held [8]int32
 		for _, op := range ops {
 			seq := int(op % 8)
 			tokens := int(op/8) % 40
 			if op%3 == 0 {
-				a.Release(seq)
-			} else if err := a.Ensure(seq, tokens); err != nil && !errors.Is(err, ErrNoSpace) {
+				a.Release(&held[seq])
+				if held[seq] != 0 {
+					return false
+				}
+			} else if err := a.Ensure(&held[seq], tokens); err != nil && !errors.Is(err, ErrNoSpace) {
 				return false
 			}
-			if a.CheckInvariant() != nil {
+			sum := 0
+			for _, n := range held {
+				sum += int(n)
+			}
+			if a.CheckInvariant(sum) != nil {
 				return false
 			}
 		}
@@ -235,11 +257,12 @@ func TestCapacityTokens(t *testing.T) {
 
 func TestReleaseUnknownSeqHarmless(t *testing.T) {
 	a := NewAllocator(4, 4)
-	a.Release(99)
-	if a.FreeBlocks() != 4 {
+	var held int32 // a sequence that never allocated
+	a.Release(&held)
+	if a.FreeBlocks() != 4 || held != 0 {
 		t.Fatal("release of unknown seq changed state")
 	}
-	if err := a.CheckInvariant(); err != nil {
+	if err := a.CheckInvariant(0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -86,7 +86,7 @@ func TestBlockTokensOne(t *testing.T) {
 			t.Fatal("rejected")
 		}
 	}
-	if err := e.alloc.CheckInvariant(); err != nil {
+	if err := e.checkKV(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -228,7 +228,11 @@ type seq struct {
 	enqueued  time.Duration
 	firstTok  time.Duration // -1 until produced
 	finished  time.Duration
-	preempted int
+	// blocks is the KV blocks the sequence holds (its share of
+	// kvcache.Allocator). It and preempted are int32 so seq stays in the
+	// 208-byte size class.
+	blocks    int32
+	preempted int32
 	// rejectReason is set when the engine gives up on the sequence.
 	rejectReason RejectReason
 }
@@ -542,7 +546,7 @@ func (e *Engine) resolveEmpty() bool {
 		// A lone runner that cannot grow needs more KV than the engine
 		// has: reject it.
 		s := e.running[0]
-		e.alloc.Release(s.req.ID)
+		e.alloc.Release(&s.blocks)
 		e.running = nil
 		s.rejectReason = RejectKVExhausted
 		e.rejected = append(e.rejected, s)
@@ -617,10 +621,10 @@ func (e *Engine) schedule() batchPlan {
 		// queue by descending priority, so the tail is s's peers or work
 		// it outranks; in FIFO mode priorities are all equal.
 		need := s.ctx() + plan.specTokens
-		for !e.alloc.CanEnsure(s.req.ID, need) && len(e.running)-1 > i {
+		for !e.alloc.CanEnsure(s.blocks, need) && len(e.running)-1 > i {
 			e.preemptAt(e.victimAfter(i))
 		}
-		if !e.alloc.CanEnsure(s.req.ID, need) {
+		if !e.alloc.CanEnsure(s.blocks, need) {
 			// No eligible victim remains — s is the youngest candidate,
 			// or (under SLO scheduling) the surviving tail outranks it —
 			// so preempt s itself. The slot at i now holds the next
@@ -628,7 +632,7 @@ func (e *Engine) schedule() batchPlan {
 			e.preemptAt(i)
 			continue
 		}
-		if err := e.alloc.Ensure(s.req.ID, need); err != nil {
+		if err := e.alloc.Ensure(&s.blocks, need); err != nil {
 			e.preemptAt(i)
 			continue
 		}
@@ -673,7 +677,7 @@ func (e *Engine) schedule() batchPlan {
 			}
 			urgents = append(urgents, urgentDemand{w.req.Priority, chunk})
 			reserved += chunk
-			reservedBlocks += e.alloc.BlocksFor(w.prefilled+chunk) - e.alloc.Holds(w.req.ID)
+			reservedBlocks += e.alloc.BlocksFor(w.prefilled+chunk) - int(w.blocks)
 		}
 	}
 	// orderRunning already put higher-priority prefills first in SLO mode.
@@ -694,14 +698,14 @@ func (e *Engine) schedule() batchPlan {
 			continue
 		}
 		chunk := min(s.effInput-s.prefilled, avail)
-		if !e.alloc.CanEnsure(s.req.ID, s.prefilled+chunk) {
-			slack := e.alloc.Holds(s.req.ID)*e.alloc.BlockTokens - s.prefilled
+		if !e.alloc.CanEnsure(s.blocks, s.prefilled+chunk) {
+			slack := int(s.blocks)*e.alloc.BlockTokens - s.prefilled
 			chunk = min(chunk, slack+e.alloc.FreeTokens())
 			if chunk <= 0 {
 				continue // KV pressure: wait for blocks
 			}
 		}
-		if err := e.alloc.Ensure(s.req.ID, s.prefilled+chunk); err != nil {
+		if err := e.alloc.Ensure(&s.blocks, s.prefilled+chunk); err != nil {
 			continue
 		}
 		plan.prefills = append(plan.prefills, s)
@@ -744,7 +748,7 @@ func (e *Engine) schedule() batchPlan {
 			continue
 		}
 		chunk := min(s.effInput-s.prefilled, budget)
-		if err := e.alloc.Ensure(s.req.ID, s.prefilled+chunk); err != nil {
+		if err := e.alloc.Ensure(&s.blocks, s.prefilled+chunk); err != nil {
 			break
 		}
 		e.waiting.removeAt(i)
@@ -888,7 +892,7 @@ func (e *Engine) refuseCloudShed(s *seq, at time.Duration) {
 // used to reallocate the whole waiting queue per victim.
 func (e *Engine) preemptAt(i int) {
 	s := e.running[i]
-	e.alloc.Release(s.req.ID)
+	e.alloc.Release(&s.blocks)
 	s.effInput = s.req.InputTokens + int(s.decoded)
 	// Recompute restarts after the (still resident) cached prefix.
 	s.prefilled = s.cached
@@ -1020,8 +1024,41 @@ func (e *Engine) preemptForUrgent() {
 // the full ChunkBudget and live watermark as a pre-plan estimate.
 func (e *Engine) canAdmit(s *seq, budget, watermark int) bool {
 	chunk := min(s.effInput-s.prefilled, budget)
-	need := e.alloc.BlocksFor(s.prefilled+chunk) - e.alloc.Holds(s.req.ID)
+	need := e.alloc.BlocksFor(s.prefilled+chunk) - int(s.blocks)
 	return e.alloc.FreeBlocks()-need >= watermark && len(e.running) < e.cfg.MaxSeqs
+}
+
+// checkKV verifies KV block conservation over the engine's seqs: every
+// running seq holds at least one block; waiting, cloud-staged, finished
+// and rejected seqs hold none; and the running seqs' blocks plus the
+// free count equal the allocator's total. Per-seq errors name the
+// request.
+func (e *Engine) checkKV() error {
+	held := 0
+	for _, s := range e.running {
+		if s.blocks < 1 {
+			return fmt.Errorf("serve: engine %q: running request %d holds %d KV blocks", e.cfg.Name, s.req.ID, s.blocks)
+		}
+		held += int(s.blocks)
+	}
+	staged := make([]*seq, len(e.cloudShed))
+	for i, c := range e.cloudShed {
+		staged[i] = c.s
+	}
+	for _, g := range []struct {
+		what string
+		seqs []*seq
+	}{{"waiting", e.waiting.seqs()}, {"cloud-staged", staged}, {"finished", e.completed}, {"rejected", e.rejected}} {
+		for _, s := range g.seqs {
+			if s.blocks != 0 {
+				return fmt.Errorf("serve: engine %q: %s request %d holds %d KV blocks", e.cfg.Name, g.what, s.req.ID, s.blocks)
+			}
+		}
+	}
+	if err := e.alloc.CheckInvariant(held); err != nil {
+		return fmt.Errorf("serve: engine %q: %w", e.cfg.Name, err)
+	}
+	return nil
 }
 
 // shape converts a plan to the cost model's batch description.
@@ -1083,13 +1120,12 @@ func (e *Engine) setDegrade(factor float64, from, until time.Duration) {
 func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 	for _, s := range e.running {
 		lostTokens += s.prefilled - s.cached + int(s.decoded)
-		e.alloc.Release(s.req.ID)
+		e.alloc.Release(&s.blocks)
 		lost = append(lost, s.req)
 	}
 	e.running = nil
 	for _, s := range e.waiting.seqs() {
-		e.alloc.Release(s.req.ID)
-		lost = append(lost, s.req)
+		lost = append(lost, s.req) // waiting seqs hold no blocks
 	}
 	e.waiting.clear()
 	lost = append(lost, e.arrivals[e.nextIdx:]...)
@@ -1150,7 +1186,7 @@ func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
 	for _, s := range e.running {
 		if s.done() {
 			s.finished = e.now
-			e.alloc.Release(s.req.ID)
+			e.alloc.Release(&s.blocks)
 			e.completed = append(e.completed, s)
 			e.doneTokens += s.req.TotalTokens()
 			e.tap.event(e.now, obs.EvFinish, s.req.ID, "")

@@ -155,7 +155,7 @@ func TestPrefixCacheStillOccupiesKV(t *testing.T) {
 	}
 	// All blocks must have been allocated (and released at completion):
 	// conservation holds even though most tokens skipped compute.
-	if err := e.alloc.CheckInvariant(); err != nil {
+	if err := e.checkKV(); err != nil {
 		t.Fatal(err)
 	}
 	if e.alloc.UsedBlocks() != 0 {
@@ -211,7 +211,7 @@ func TestPrefixCachePreemptionKeepsPrefix(t *testing.T) {
 	if e.preemptions == 0 {
 		t.Fatal("expected preemptions")
 	}
-	if err := e.alloc.CheckInvariant(); err != nil {
+	if err := e.checkKV(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -103,7 +103,7 @@ func (e *Engine) metrics(reqs []workload.Request) []RequestMetrics {
 		m := requestRow(s.req, e.cfg.Name)
 		m.TTFT = s.firstTok - s.req.SubmittedAt()
 		m.Completion = s.finished - s.req.SubmittedAt()
-		m.Preemptions = s.preempted
+		m.Preemptions = int(s.preempted)
 		if s.req.OutputTokens > 1 {
 			m.TPOT = (s.finished - s.firstTok) / time.Duration(s.req.OutputTokens-1)
 		}
