@@ -58,10 +58,10 @@ func (a *Allocator) FreeTokens() int { return a.free * a.BlockTokens }
 // Returns ErrNoSpace (allocating nothing) if the growth cannot be
 // satisfied.
 func (a *Allocator) Ensure(held *int32, tokens int) error {
-	need := a.BlocksFor(tokens) - int(*held)
-	if need <= 0 {
-		return nil
+	if tokens <= int(*held)*a.BlockTokens {
+		return nil // already covered: no division on the common decode step
 	}
+	need := a.BlocksFor(tokens) - int(*held)
 	if need > a.free {
 		return ErrNoSpace
 	}
@@ -72,7 +72,7 @@ func (a *Allocator) Ensure(held *int32, tokens int) error {
 
 // CanEnsure reports whether Ensure(&held, tokens) would succeed.
 func (a *Allocator) CanEnsure(held int32, tokens int) bool {
-	return a.BlocksFor(tokens)-int(held) <= a.free
+	return tokens <= int(held)*a.BlockTokens || a.BlocksFor(tokens)-int(held) <= a.free
 }
 
 // Release frees the *held blocks of a sequence and zeroes its count.

@@ -291,7 +291,7 @@ func (e *Engine) stepUntil(horizon time.Duration, final bool) {
 			continue
 		}
 		cost := e.price(&plan)
-		e.apply(plan, cost, e.now+cost.Total())
+		e.apply(&plan, cost, e.now+cost.Total())
 	}
 }
 

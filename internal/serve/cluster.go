@@ -287,8 +287,9 @@ func runLockstep(engines []*Engine, assigned [][]workload.Request) []RequestMetr
 		}
 
 		now += maxDur
-		for _, w := range work {
-			w.e.apply(w.plan, w.cost, now)
+		for i := range work {
+			w := &work[i]
+			w.e.apply(&w.plan, w.cost, now)
 		}
 	}
 	var metrics []RequestMetrics

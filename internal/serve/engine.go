@@ -624,15 +624,11 @@ func (e *Engine) schedule() batchPlan {
 		for !e.alloc.CanEnsure(s.blocks, need) && len(e.running)-1 > i {
 			e.preemptAt(e.victimAfter(i))
 		}
-		if !e.alloc.CanEnsure(s.blocks, need) {
+		if err := e.alloc.Ensure(&s.blocks, need); err != nil {
 			// No eligible victim remains — s is the youngest candidate,
 			// or (under SLO scheduling) the surviving tail outranks it —
 			// so preempt s itself. The slot at i now holds the next
 			// sequence (or nothing).
-			e.preemptAt(i)
-			continue
-		}
-		if err := e.alloc.Ensure(&s.blocks, need); err != nil {
 			e.preemptAt(i)
 			continue
 		}
@@ -1062,7 +1058,7 @@ func (e *Engine) checkKV() error {
 }
 
 // shape converts a plan to the cost model's batch description.
-func (plan batchPlan) shape() perf.Batch {
+func (plan *batchPlan) shape() perf.Batch {
 	shape := perf.Batch{}
 	for i, s := range plan.prefills {
 		c := plan.chunks[i]
@@ -1142,7 +1138,7 @@ func (e *Engine) crashDrain() (lost []workload.Request, lostTokens int) {
 // apply executes one priced iteration ending at end: advances the clock,
 // applies token production, and retires finished sequences. In lockstep
 // clusters end may exceed now+cost (waiting for slower replicas).
-func (e *Engine) apply(plan batchPlan, cost perf.Cost, end time.Duration) {
+func (e *Engine) apply(plan *batchPlan, cost perf.Cost, end time.Duration) {
 	if plan.par == e.cfg.Par {
 		e.baseIters++
 	} else {

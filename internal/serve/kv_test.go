@@ -37,7 +37,7 @@ func stepChecked(t *testing.T, e *Engine, reqs []workload.Request) []RequestMetr
 		}
 		cost := e.price(&plan)
 		check("price")
-		e.apply(plan, cost, e.now+cost.Total())
+		e.apply(&plan, cost, e.now+cost.Total())
 		check("apply")
 	}
 	return e.metrics(reqs)
