@@ -110,10 +110,12 @@ e2e-check:
 	$(GO) -C e2ebench test ./...
 
 # Simulator-performance benchmarks (engine hot path, fleet stepping,
-# sweep fan-out) with allocation stats, repeated PERFCOUNT times so the
-# output feeds benchstat for before/after comparisons:
+# sweep fan-out) with allocation stats, repeated PERFCOUNT times for
+# before/after comparisons:
 #   make perfbench > new.txt   (and on the baseline commit > old.txt)
-#   benchstat old.txt new.txt
+# benchstat is not a dependency of this repo and may not be installed;
+# where it is missing, compare the per-benchmark medians of the two
+# files instead (`benchstat old.txt new.txt` where it is available).
 perfbench:
 	$(GO) test -run xxx -bench 'BenchmarkSimulator_' -benchmem -count $(PERFCOUNT) .
 
