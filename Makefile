@@ -119,13 +119,15 @@ e2e-check:
 perfbench:
 	$(GO) test -run xxx -bench 'BenchmarkSimulator_' -benchmem -count $(PERFCOUNT) .
 
-# Native fuzzers over the scenario registry's input surface (simctl's
-# -p key=value parsing): each target runs FUZZTIME. The seeded corpora
-# live in internal/scenario/testdata/fuzz and also run as plain tests
-# under `go test`.
+# Native fuzzers: the scenario registry's input surface (simctl's -p
+# key=value parsing) and the streaming Chrome trace writer against its
+# encoding/json oracle. Each target runs FUZZTIME. The seeded corpora
+# (internal/scenario/testdata/fuzz, and the f.Add seeds) also run as
+# plain tests under `go test`.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzParseValue$$' -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run xxx -fuzz '^FuzzScenarioParse$$' -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run xxx -fuzz '^FuzzChromeTraceBytes$$' -fuzztime $(FUZZTIME) ./internal/obs
 
 # The ci-speed fuzz pass: long enough to exercise the mutators past the
 # seed corpus, short enough not to dominate the gate.

@@ -5,31 +5,26 @@
 // by request ID on the track where the phase ran, and fleet lifecycle
 // moments (crash, eject, readmit, scale, preempt, retry, ...) as
 // thread-scoped instant events on the affected track.
+//
+// The writer streams: metadata records first, then one record per
+// event in merge order, each appended into one reused byte buffer and
+// written through a bufio.Writer. The bytes are exactly what
+// encoding/json would produce for the same records (its float format,
+// its HTML-safe string escaping, its sorted map keys, its trailing
+// newline), without building the document in memory.
 package obs
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
 	"time"
+	"unicode/utf8"
 )
-
-// chromeEvent is one trace-event JSON record. Field order here fixes
-// the exported byte layout.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"` // microseconds
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	ID    string         `json:"id,omitempty"` // async span key (request ID)
-	Scope string         `json:"s,omitempty"`  // instant scope
-	Args  map[string]any `json:"args,omitempty"`
-}
 
 // reqCat is the async category grouping one request's phase spans.
 const reqCat = "request"
@@ -44,18 +39,35 @@ const (
 	phaseDecode  = "decode"
 )
 
+// traceTail closes the traceEvents array and the document.
+const traceTail = `],"displayTimeUnit":"ms"}` + "\n"
+
 // WriteChromeTrace renders the collected run as Chrome trace-event
 // JSON. Output is deterministic: tracks are numbered in registration
 // order and events are emitted in the total order of Events.
 func (o *Observer) WriteChromeTrace(w io.Writer) error {
-	evs := o.Events()
+	streams := o.Streams()
+	if len(streams) == 0 {
+		_, err := io.WriteString(w, `{"traceEvents":null,"displayTimeUnit":"ms"}`+"\n")
+		return err
+	}
+	cw := &chromeWriter{
+		bw:   bufio.NewWriterSize(w, 64<<10),
+		open: map[int]openPhase{},
+		pid:  make([]int, len(streams)),
+		tid:  make([]int, len(streams)),
+	}
+	if _, err := cw.bw.WriteString(`{"traceEvents":[`); err != nil {
+		return err
+	}
 
 	// pid per region and tid per track, in stream registration order.
+	// Streams sharing a (region, track) name draw on the last one's
+	// thread.
 	pidOf := map[string]int{}
 	type trackKey struct{ region, track string }
 	tidOf := map[trackKey]int{}
-	var out []chromeEvent
-	for _, s := range o.Streams() {
+	for i, s := range streams {
 		pid, ok := pidOf[s.Region]
 		if !ok {
 			pid = len(pidOf) + 1
@@ -64,115 +76,271 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 			if name == "" {
 				name = "cluster"
 			}
-			out = append(out, chromeEvent{
-				Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-				Args: map[string]any{"name": name},
-			})
+			cw.metaName("process_name", pid, 0, name)
 		}
 		tid := s.order + 1
 		tidOf[trackKey{s.Region, s.Track}] = tid
-		out = append(out, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"name": s.Track},
-		})
-		out = append(out, chromeEvent{
-			Name: "thread_sort_index", Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"sort_index": s.order},
-		})
+		cw.metaName("thread_name", pid, tid, s.Track)
+		cw.metaSortIndex(pid, tid, s.order)
+		cw.pid[i] = pid
+	}
+	for i, s := range streams {
+		cw.tid[i] = tidOf[trackKey{s.Region, s.Track}]
+	}
+	if cw.err != nil {
+		return cw.err
 	}
 
-	// Request phase state machine over the time-sorted event list:
-	// every open phase is an async "b" and every transition closes it
-	// with a matching "e" before opening the next, so per-(cat,id)
-	// depth never exceeds one and always returns to zero.
-	type openPhase struct {
-		name     string
-		pid, tid int
-	}
-	open := map[int]openPhase{}
-	closeSpan := func(req int, ts float64) {
-		p, ok := open[req]
-		if !ok {
+	// Request phase state machine over the merged event order: every
+	// open phase is an async "b" and every transition closes it with a
+	// matching "e" before opening the next, so per-(cat,id) depth never
+	// exceeds one and always returns to zero.
+	var last time.Duration
+	o.merge(func(s *Stream, ev *Event) {
+		if cw.err != nil {
 			return
 		}
-		delete(open, req)
-		out = append(out, chromeEvent{
-			Name: p.name, Cat: reqCat, Ph: "e", Ts: ts,
-			Pid: p.pid, Tid: p.tid, ID: strconv.Itoa(req),
-		})
-	}
-	openSpan := func(req int, name string, ts float64, pid, tid int) {
-		closeSpan(req, ts)
-		open[req] = openPhase{name: name, pid: pid, tid: tid}
-		out = append(out, chromeEvent{
-			Name: name, Cat: reqCat, Ph: "b", Ts: ts,
-			Pid: pid, Tid: tid, ID: strconv.Itoa(req),
-		})
-	}
-	instant := func(ev StreamEvent, ts float64, pid, tid int) {
-		args := map[string]any{}
-		if ev.Req != NoRequest {
-			args["req"] = ev.Req
-		}
-		if ev.Detail != "" {
-			args["detail"] = ev.Detail
-		}
-		if len(args) == 0 {
-			args = nil
-		}
-		out = append(out, chromeEvent{
-			Name: ev.Kind.String(), Ph: "i", Ts: ts,
-			Pid: pid, Tid: tid, Scope: "t", Args: args,
-		})
-	}
-
-	for _, ev := range evs {
-		pid := pidOf[ev.Region]
-		tid := tidOf[trackKey{ev.Region, ev.Track}]
+		last = ev.At
+		pid, tid := cw.pid[s.order], cw.tid[s.order]
 		ts := usec(ev.At)
 		switch ev.Kind {
 		case EvEnqueue:
-			openSpan(ev.Req, phaseQueue, ts, pid, tid)
+			cw.openSpan(ev.Req, phaseQueue, ts, pid, tid)
 		case EvAdmit:
-			openSpan(ev.Req, phasePrefill, ts, pid, tid)
+			cw.openSpan(ev.Req, phasePrefill, ts, pid, tid)
 		case EvPrefillDone:
-			openSpan(ev.Req, phaseDecode, ts, pid, tid)
+			cw.openSpan(ev.Req, phaseDecode, ts, pid, tid)
 		case EvPreempt:
-			instant(ev, ts, pid, tid)
-			openSpan(ev.Req, phaseQueue, ts, pid, tid)
+			cw.instant(ev, ts, pid, tid)
+			cw.openSpan(ev.Req, phaseQueue, ts, pid, tid)
 		case EvFinish:
-			closeSpan(ev.Req, ts)
+			cw.closeSpan(ev.Req, ts)
 		case EvReject, EvDrop, EvLost, EvShed, EvCloudRoute:
-			closeSpan(ev.Req, ts)
-			instant(ev, ts, pid, tid)
+			cw.closeSpan(ev.Req, ts)
+			cw.instant(ev, ts, pid, tid)
 		default:
 			// Route, shared-hit, retry, and all fleet lifecycle kinds
 			// render as instants on their track.
-			instant(ev, ts, pid, tid)
+			cw.instant(ev, ts, pid, tid)
 		}
-	}
-	// A request still open at end of trace (none in practice: every
-	// admitted request reaches a terminal) would leave an unmatched
+	})
+	// A request still open at end of trace would leave an unmatched
 	// "b"; close it at the trace's final timestamp, in request-ID
 	// order, to keep the file well-formed and the bytes deterministic.
-	if len(open) > 0 {
-		endTs := usec(evs[len(evs)-1].At)
-		stragglers := make([]int, 0, len(open))
-		for req := range open {
+	if len(cw.open) > 0 {
+		stragglers := make([]int, 0, len(cw.open))
+		for req := range cw.open {
 			stragglers = append(stragglers, req)
 		}
 		sort.Ints(stragglers)
 		for _, req := range stragglers {
-			closeSpan(req, endTs)
+			cw.closeSpan(req, usec(last))
 		}
 	}
+	if cw.err != nil {
+		return cw.err
+	}
+	if _, err := cw.bw.WriteString(traceTail); err != nil {
+		return err
+	}
+	return cw.bw.Flush()
+}
 
-	doc := struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{TraceEvents: out, DisplayTimeUnit: "ms"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+// openPhase is one request's open async span.
+type openPhase struct {
+	name     string
+	pid, tid int
+}
+
+// chromeWriter streams trace-event records. Each record is built in
+// buf, which is reused, and written through bw; err is the first write
+// error, after which nothing more is written.
+type chromeWriter struct {
+	bw       *bufio.Writer
+	buf      []byte
+	records  int
+	err      error
+	open     map[int]openPhase
+	pid, tid []int // per stream, indexed by registration order
+}
+
+// begin starts a record in buf: the separating comma, then the fields
+// every record has, in the order name, cat (spans only), ph, ts, pid,
+// tid.
+func (cw *chromeWriter) begin(name, cat, ph string, ts float64, pid, tid int) {
+	b := cw.buf[:0]
+	if cw.records > 0 {
+		b = append(b, ',')
+	}
+	b = append(b, `{"name":`...)
+	b = appendString(b, name)
+	if cat != "" {
+		b = append(b, `,"cat":`...)
+		b = appendString(b, cat)
+	}
+	b = append(b, `,"ph":`...)
+	b = appendString(b, ph)
+	b = append(b, `,"ts":`...)
+	b = appendFloat(b, ts)
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	cw.buf = b
+}
+
+// end closes the record in buf and writes it.
+func (cw *chromeWriter) end() {
+	cw.buf = append(cw.buf, '}')
+	cw.records++
+	if cw.err == nil {
+		_, cw.err = cw.bw.Write(cw.buf)
+	}
+}
+
+// metaName writes a metadata record whose args hold a name.
+func (cw *chromeWriter) metaName(name string, pid, tid int, arg string) {
+	cw.begin(name, "", "M", 0, pid, tid)
+	cw.buf = append(cw.buf, `,"args":{"name":`...)
+	cw.buf = appendString(cw.buf, arg)
+	cw.buf = append(cw.buf, '}')
+	cw.end()
+}
+
+// metaSortIndex writes a thread_sort_index metadata record.
+func (cw *chromeWriter) metaSortIndex(pid, tid, index int) {
+	cw.begin("thread_sort_index", "", "M", 0, pid, tid)
+	cw.buf = append(cw.buf, `,"args":{"sort_index":`...)
+	cw.buf = strconv.AppendInt(cw.buf, int64(index), 10)
+	cw.buf = append(cw.buf, '}')
+	cw.end()
+}
+
+// span writes one async begin ("b") or end ("e") record of req's phase.
+func (cw *chromeWriter) span(name, ph string, ts float64, pid, tid, req int) {
+	cw.begin(name, reqCat, ph, ts, pid, tid)
+	cw.buf = append(cw.buf, `,"id":"`...)
+	cw.buf = strconv.AppendInt(cw.buf, int64(req), 10)
+	cw.buf = append(cw.buf, '"')
+	cw.end()
+}
+
+// closeSpan ends req's open phase, if any, at ts.
+func (cw *chromeWriter) closeSpan(req int, ts float64) {
+	p, ok := cw.open[req]
+	if !ok {
+		return
+	}
+	delete(cw.open, req)
+	cw.span(p.name, "e", ts, p.pid, p.tid, req)
+}
+
+// openSpan ends req's open phase and begins the named one at ts.
+func (cw *chromeWriter) openSpan(req int, name string, ts float64, pid, tid int) {
+	cw.closeSpan(req, ts)
+	cw.open[req] = openPhase{name: name, pid: pid, tid: tid}
+	cw.span(name, "b", ts, pid, tid, req)
+}
+
+// instant writes a thread-scoped instant record for ev. Its args hold
+// detail then req, encoding/json's sorted key order, and are omitted
+// when the event has neither.
+func (cw *chromeWriter) instant(ev *Event, ts float64, pid, tid int) {
+	cw.begin(ev.Kind.String(), "", "i", ts, pid, tid)
+	cw.buf = append(cw.buf, `,"s":"t"`...)
+	hasReq, hasDetail := ev.Req != NoRequest, ev.Detail != ""
+	if hasReq || hasDetail {
+		cw.buf = append(cw.buf, `,"args":{`...)
+		if hasDetail {
+			cw.buf = append(cw.buf, `"detail":`...)
+			cw.buf = appendString(cw.buf, ev.Detail)
+			if hasReq {
+				cw.buf = append(cw.buf, ',')
+			}
+		}
+		if hasReq {
+			cw.buf = append(cw.buf, `"req":`...)
+			cw.buf = strconv.AppendInt(cw.buf, int64(ev.Req), 10)
+		}
+		cw.buf = append(cw.buf, '}')
+	}
+	cw.end()
+}
+
+// appendFloat appends f as encoding/json encodes a float64: the
+// shortest representation, in 'f' form except outside [1e-6, 1e21),
+// where it is 'e' form with the exponent unpadded.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 becomes e-9.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendString appends s as a JSON string, escaped as encoding/json
+// escapes it by default: control characters, the quote, the backslash
+// and the HTML-significant <, > and &; U+2028 and U+2029; and each
+// byte of invalid UTF-8 as U+FFFD.
+func appendString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+			i += size
+			start = i
+			continue
+		}
+		if r == '\u2028' || r == '\u2029' {
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // ExportChromeTrace writes the Chrome trace to path.

@@ -22,7 +22,8 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -308,39 +309,94 @@ type StreamEvent struct {
 	Track  string
 }
 
-// Events flattens every stream into one slice sorted by (At, stream
-// registration order, intra-stream index) — a total order with no
+// Events flattens every stream into one slice in the total order of
+// merge: (At, stream registration order, intra-stream index), with no
 // ties, so the result (and every export derived from it) is
 // byte-identical across worker counts.
 func (o *Observer) Events() []StreamEvent {
-	type keyed struct {
-		ev    StreamEvent
-		order int
-		idx   int
+	out := make([]StreamEvent, 0, o.EventCount())
+	o.merge(func(s *Stream, ev *Event) {
+		out = append(out, StreamEvent{Event: *ev, Region: s.Region, Track: s.Track})
+	})
+	return out
+}
+
+// cursor walks one stream's events in time order.
+type cursor struct {
+	s    *Stream
+	perm []int32 // event indices stably sorted by At; nil when the stream already is
+	pos  int
+	at   time.Duration // At of the current event
+}
+
+func (c *cursor) event() *Event {
+	if c.perm != nil {
+		return &c.s.events[c.perm[c.pos]]
 	}
-	all := make([]keyed, 0, o.EventCount())
+	return &c.s.events[c.pos]
+}
+
+// before orders cursors by their current event's time, then by stream
+// registration order.
+func (c *cursor) before(d *cursor) bool {
+	return c.at < d.at || (c.at == d.at && c.s.order < d.s.order)
+}
+
+// merge visits every event in the total order (At, stream registration
+// order, intra-stream index). Most streams are appended in time order;
+// the rest (replica tracks, whose enqueue events are stamped at arrival
+// but emitted once the engine steps past it) get a stable index sort of
+// their own. A k-way merge over the per-stream cursors then interleaves
+// them without sorting the whole event set.
+func (o *Observer) merge(visit func(s *Stream, ev *Event)) {
+	h := make([]cursor, 0, len(o.Streams()))
 	for _, s := range o.Streams() {
-		for i, ev := range s.events {
-			all = append(all, keyed{
-				ev:    StreamEvent{Event: ev, Region: s.Region, Track: s.Track},
-				order: s.order,
-				idx:   i,
+		if len(s.events) == 0 {
+			continue
+		}
+		c := cursor{s: s}
+		if !slices.IsSortedFunc(s.events, func(a, b Event) int { return cmp.Compare(a.At, b.At) }) {
+			c.perm = make([]int32, len(s.events))
+			for i := range c.perm {
+				c.perm[i] = int32(i)
+			}
+			slices.SortStableFunc(c.perm, func(a, b int32) int {
+				return cmp.Compare(s.events[a].At, s.events[b].At)
 			})
 		}
+		c.at = c.event().At
+		h = append(h, c)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.ev.At != b.ev.At {
-			return a.ev.At < b.ev.At
-		}
-		if a.order != b.order {
-			return a.order < b.order
-		}
-		return a.idx < b.idx
-	})
-	out := make([]StreamEvent, len(all))
-	for i, k := range all {
-		out[i] = k.ev
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	return out
+	for len(h) > 0 {
+		c := &h[0]
+		visit(c.s, c.event())
+		if c.pos++; c.pos < len(c.s.events) {
+			c.at = c.event().At
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+}
+
+// siftDown restores the min-heap order of h below index i.
+func siftDown(h []cursor, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l].before(&h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(&h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
