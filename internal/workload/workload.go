@@ -7,6 +7,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -238,7 +239,11 @@ func (t *Trace) StampPromptKeys(seed uint64, repeatFrac float64, pool int) *Trac
 
 // Merge combines traces into one time-ordered trace.
 func Merge(name string, traces ...*Trace) *Trace {
-	var reqs []Request
+	n := 0
+	for _, t := range traces {
+		n += len(t.Requests)
+	}
+	reqs := slices.Grow([]Request(nil), n)
 	for _, t := range traces {
 		reqs = append(reqs, t.Requests...)
 	}
@@ -328,13 +333,22 @@ func (m Mixture) SampleClass(rng *tensor.RNG) (in, out int, class string) {
 
 // --- Arrival processes ---
 
+// maxPoissonHint caps Poisson's capacity reservation; a longer stream
+// grows past it by append.
+const maxPoissonHint = 1 << 20
+
 // Poisson generates an open-loop Poisson arrival stream at ratePerSec for
 // the given duration.
 func Poisson(name string, rng *tensor.RNG, ratePerSec float64, duration time.Duration, sizes SizeDist, class string) *Trace {
 	if ratePerSec <= 0 {
 		panic("workload: non-positive rate")
 	}
+	// Reserve the mean count plus four standard deviations, so the
+	// appends below almost never regrow.
 	var reqs []Request
+	if mean := ratePerSec * duration.Seconds(); mean > 0 {
+		reqs = make([]Request, 0, int(min(mean+4*math.Sqrt(mean)+1, maxPoissonHint)))
+	}
 	t := 0.0
 	for {
 		t += -math.Log(1-rng.Float64()) / ratePerSec
