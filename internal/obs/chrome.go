@@ -53,7 +53,7 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	}
 	cw := &chromeWriter{
 		bw:   bufio.NewWriterSize(w, 64<<10),
-		open: map[int]openPhase{},
+		reqs: map[int]reqState{},
 		pid:  make([]int, len(streams)),
 		tid:  make([]int, len(streams)),
 	}
@@ -94,7 +94,10 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	// Request phase state machine over the merged event order: every
 	// open phase is an async "b" and every transition closes it with a
 	// matching "e" before opening the next, so per-(cat,id) depth never
-	// exceeds one and always returns to zero.
+	// exceeds one and always returns to zero. A phase opened after the
+	// request's terminal event (a retried request bought by the cloud
+	// on a track registered before the replica that enqueued it at the
+	// same instant) closes at once, so no span outlives its terminal.
 	var last time.Duration
 	o.merge(func(s *Stream, ev *Event) {
 		if cw.err != nil {
@@ -123,19 +126,25 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 			// render as instants on their track.
 			cw.instant(ev, ts, pid, tid)
 		}
+		if ev.Kind.Terminal() {
+			st := cw.reqs[ev.Req]
+			st.done = true
+			cw.reqs[ev.Req] = st
+		}
 	})
-	// A request still open at end of trace would leave an unmatched
-	// "b"; close it at the trace's final timestamp, in request-ID
-	// order, to keep the file well-formed and the bytes deterministic.
-	if len(cw.open) > 0 {
-		stragglers := make([]int, 0, len(cw.open))
-		for req := range cw.open {
+	// A request still open at end of trace (one that never reached a
+	// terminal event) would leave an unmatched "b"; close it at the
+	// trace's final timestamp, in request-ID order, to keep the file
+	// well-formed and the bytes deterministic.
+	var stragglers []int
+	for req, st := range cw.reqs {
+		if st.phase != "" {
 			stragglers = append(stragglers, req)
 		}
-		sort.Ints(stragglers)
-		for _, req := range stragglers {
-			cw.closeSpan(req, usec(last))
-		}
+	}
+	sort.Ints(stragglers)
+	for _, req := range stragglers {
+		cw.closeSpan(req, usec(last))
 	}
 	if cw.err != nil {
 		return cw.err
@@ -146,10 +155,12 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	return cw.bw.Flush()
 }
 
-// openPhase is one request's open async span.
-type openPhase struct {
-	name     string
+// reqState is one request's span state: the phase it has open ("" for
+// none) and where, and whether it has reached a terminal event.
+type reqState struct {
+	phase    string
 	pid, tid int
+	done     bool
 }
 
 // chromeWriter streams trace-event records. Each record is built in
@@ -160,7 +171,7 @@ type chromeWriter struct {
 	buf      []byte
 	records  int
 	err      error
-	open     map[int]openPhase
+	reqs     map[int]reqState
 	pid, tid []int // per stream, indexed by registration order
 }
 
@@ -227,19 +238,25 @@ func (cw *chromeWriter) span(name, ph string, ts float64, pid, tid, req int) {
 
 // closeSpan ends req's open phase, if any, at ts.
 func (cw *chromeWriter) closeSpan(req int, ts float64) {
-	p, ok := cw.open[req]
-	if !ok {
+	st, ok := cw.reqs[req]
+	if !ok || st.phase == "" {
 		return
 	}
-	delete(cw.open, req)
-	cw.span(p.name, "e", ts, p.pid, p.tid, req)
+	cw.span(st.phase, "e", ts, st.pid, st.tid, req)
+	st.phase = ""
+	cw.reqs[req] = st
 }
 
-// openSpan ends req's open phase and begins the named one at ts.
+// openSpan ends req's open phase and begins the named one at ts. After
+// req's terminal event the new phase ends at ts too.
 func (cw *chromeWriter) openSpan(req int, name string, ts float64, pid, tid int) {
 	cw.closeSpan(req, ts)
-	cw.open[req] = openPhase{name: name, pid: pid, tid: tid}
 	cw.span(name, "b", ts, pid, tid, req)
+	if st := cw.reqs[req]; st.done {
+		cw.span(name, "e", ts, pid, tid, req)
+	} else {
+		cw.reqs[req] = reqState{phase: name, pid: pid, tid: tid}
+	}
 }
 
 // instant writes a thread-scoped instant record for ev. Its args hold

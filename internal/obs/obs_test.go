@@ -109,6 +109,32 @@ func TestChromeTraceClosesStragglers(t *testing.T) {
 	}
 }
 
+// TestChromeTraceSpanAfterTerminal pins the retry-then-buy order: the
+// cloud track, registered before the replica, records the request's
+// terminal cloud-route at the instant the replica enqueues it, so the
+// merge visits the terminal first. The late queue span must end at that
+// instant, not at the end of the trace.
+func TestChromeTraceSpanAfterTerminal(t *testing.T) {
+	o := NewObserver()
+	cloud := o.Stream("eu-west", "cloud")
+	r := o.Stream("eu-west", "eu-west-replica0")
+	cloud.Event(time.Second, EvCloudRoute, 7, "shed-or-buy")
+	r.Event(time.Second, EvEnqueue, 7, "")
+	r.Event(time.Hour, EvEnqueue, 8, "")
+	r.Event(time.Hour, EvFinish, 8, "")
+	doc := writeTrace(t, o)
+	var spans []string
+	for _, e := range doc.TraceEvents {
+		if e["id"] == "7" {
+			spans = append(spans, e["ph"].(string)+"@"+strconv.FormatFloat(e["ts"].(float64), 'f', -1, 64))
+		}
+	}
+	if got, want := strings.Join(spans, " "), "b@1000000 e@1000000"; got != want {
+		t.Fatalf("request 7's queue span is %q, want %q", got, want)
+	}
+	checkOracle(t, o)
+}
+
 func TestSeriesJSONEmptyIsList(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewObserver().WriteSeriesJSON(&buf); err != nil {
@@ -225,7 +251,7 @@ func oracleChromeTrace(t testing.TB, o *Observer) []byte {
 		name     string
 		pid, tid int
 	}
-	open := map[int]openPhase{}
+	open, done := map[int]openPhase{}, map[int]bool{}
 	closeSpan := func(req int, ts float64) {
 		p, ok := open[req]
 		if !ok {
@@ -240,6 +266,9 @@ func oracleChromeTrace(t testing.TB, o *Observer) []byte {
 		open[req] = openPhase{name, pid, tid}
 		out = append(out, oracleEvent{Name: name, Cat: reqCat, Ph: "b", Ts: ts,
 			Pid: pid, Tid: tid, ID: strconv.Itoa(req)})
+		if done[req] {
+			closeSpan(req, ts)
+		}
 	}
 	instant := func(ev StreamEvent, ts float64, pid, tid int) {
 		args := map[string]any{}
@@ -275,6 +304,9 @@ func oracleChromeTrace(t testing.TB, o *Observer) []byte {
 			instant(ev, ts, pid, tid)
 		default:
 			instant(ev, ts, pid, tid)
+		}
+		if ev.Kind.Terminal() {
+			done[ev.Req] = true
 		}
 	}
 	if len(open) > 0 {

@@ -192,7 +192,7 @@ func goldenCells() []goldenCell {
 			},
 			traced: true,
 			geo:    goldenGeo,
-			want:   "3e369f149650061a3e40c9055e36788d3982cbce70ad4a954879d126299c84ac",
+			want:   "d603ea0728b8053f0cb04feef1e83b1ae2cd1efa48d01bc3b05b468c3d3717fd",
 		},
 	}
 }
