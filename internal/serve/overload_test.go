@@ -381,12 +381,14 @@ func TestRetryConservationGeo(t *testing.T) {
 			},
 		},
 		Parallelism: 2,
+		Obs:         obs.NewObserver(),
 	}
 	res, err := g.Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkConservation(t, tr, res)
+	checkSpanConservation(t, g.Obs, res)
 	if res.Retries == 0 {
 		t.Fatal("outage dislodged nothing into the retry path")
 	}
