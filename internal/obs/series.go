@@ -50,8 +50,9 @@ func (o *Observer) WriteSeriesCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
+	row := make([]string, 0, len(header))
 	for _, s := range samples {
-		row := []string{
+		row = append(row[:0],
 			strconv.FormatFloat(float64(s.At)/float64(time.Millisecond), 'f', 3, 64),
 			s.Track,
 			strconv.Itoa(s.Desired), strconv.Itoa(s.Active),
@@ -64,13 +65,9 @@ func (o *Observer) WriteSeriesCSV(w io.Writer) error {
 			strconv.Itoa(s.BreakersOpen), strconv.Itoa(s.BreakersHalfOpen),
 			strconv.Itoa(s.CloudRequests),
 			strconv.FormatFloat(s.CloudSpend, 'f', 6, 64),
-		}
-		byClass := map[string]ClassAttainment{}
-		for _, c := range s.Classes {
-			byClass[c.Class] = c
-		}
+		)
 		for _, c := range classes {
-			ca := byClass[c]
+			ca := classIn(s.Classes, c)
 			row = append(row, strconv.Itoa(ca.Requests), strconv.Itoa(ca.TTFTMet))
 		}
 		if err := cw.Write(row); err != nil {
@@ -79,6 +76,17 @@ func (o *Observer) WriteSeriesCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// classIn returns the last entry of classes named class, or the zero
+// attainment when the sample has none.
+func classIn(classes []ClassAttainment, class string) ClassAttainment {
+	for i := len(classes) - 1; i >= 0; i-- {
+		if classes[i].Class == class {
+			return classes[i]
+		}
+	}
+	return ClassAttainment{}
 }
 
 // WriteSeriesJSON renders the samples as a JSON array.
