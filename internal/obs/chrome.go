@@ -29,9 +29,6 @@ import (
 // reqCat is the async category grouping one request's phase spans.
 const reqCat = "request"
 
-// usec converts a sim time to trace microseconds.
-func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
 // phase names for the request span state machine.
 const (
 	phaseQueue   = "queue"
@@ -53,7 +50,8 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	}
 	cw := &chromeWriter{
 		bw:   bufio.NewWriterSize(w, 64<<10),
-		reqs: map[int]reqState{},
+		open: map[int]openPhase{},
+		done: doneSet{limit: o.EventCount()},
 		pid:  make([]int, len(streams)),
 		tid:  make([]int, len(streams)),
 	}
@@ -105,7 +103,7 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 		}
 		last = ev.At
 		pid, tid := cw.pid[s.order], cw.tid[s.order]
-		ts := usec(ev.At)
+		ts := ev.At
 		switch ev.Kind {
 		case EvEnqueue:
 			cw.openSpan(ev.Req, phaseQueue, ts, pid, tid)
@@ -127,24 +125,20 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 			cw.instant(ev, ts, pid, tid)
 		}
 		if ev.Kind.Terminal() {
-			st := cw.reqs[ev.Req]
-			st.done = true
-			cw.reqs[ev.Req] = st
+			cw.done.add(ev.Req)
 		}
 	})
 	// A request still open at end of trace (one that never reached a
 	// terminal event) would leave an unmatched "b"; close it at the
 	// trace's final timestamp, in request-ID order, to keep the file
 	// well-formed and the bytes deterministic.
-	var stragglers []int
-	for req, st := range cw.reqs {
-		if st.phase != "" {
-			stragglers = append(stragglers, req)
-		}
+	stragglers := make([]int, 0, len(cw.open))
+	for req := range cw.open {
+		stragglers = append(stragglers, req)
 	}
 	sort.Ints(stragglers)
 	for _, req := range stragglers {
-		cw.closeSpan(req, usec(last))
+		cw.closeSpan(req, last)
 	}
 	if cw.err != nil {
 		return cw.err
@@ -155,12 +149,41 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	return cw.bw.Flush()
 }
 
-// reqState is one request's span state: the phase it has open ("" for
-// none) and where, and whether it has reached a terminal event.
-type reqState struct {
-	phase    string
+// openPhase is one request's open async span.
+type openPhase struct {
+	name     string
 	pid, tid int
-	done     bool
+}
+
+// doneSet holds the requests that reached a terminal event: a bitset
+// over IDs in [0, limit), which covers a trace numbered densely from
+// zero, and a map for any other ID.
+type doneSet struct {
+	limit int
+	bits  []uint64
+	other map[int]bool
+}
+
+func (d *doneSet) add(req int) {
+	if req < 0 || req >= d.limit {
+		if d.other == nil {
+			d.other = map[int]bool{}
+		}
+		d.other[req] = true
+		return
+	}
+	if w := req / 64; w >= len(d.bits) {
+		d.bits = append(d.bits, make([]uint64, w+1-len(d.bits))...)
+	}
+	d.bits[req/64] |= 1 << (req % 64)
+}
+
+func (d *doneSet) has(req int) bool {
+	if req < 0 || req >= d.limit {
+		return d.other[req]
+	}
+	w := req / 64
+	return w < len(d.bits) && d.bits[w]&(1<<(req%64)) != 0
 }
 
 // chromeWriter streams trace-event records. Each record is built in
@@ -171,28 +194,30 @@ type chromeWriter struct {
 	buf      []byte
 	records  int
 	err      error
-	reqs     map[int]reqState
+	open     map[int]openPhase // each request's open phase, if any
+	done     doneSet
 	pid, tid []int // per stream, indexed by registration order
 }
 
 // begin starts a record in buf: the separating comma, then the fields
 // every record has, in the order name, cat (spans only), ph, ts, pid,
-// tid.
-func (cw *chromeWriter) begin(name, cat, ph string, ts float64, pid, tid int) {
+// tid. name, cat and ph are kind, phase and metadata names, which need
+// no escaping.
+func (cw *chromeWriter) begin(name, cat, ph string, at time.Duration, pid, tid int) {
 	b := cw.buf[:0]
 	if cw.records > 0 {
 		b = append(b, ',')
 	}
-	b = append(b, `{"name":`...)
-	b = appendString(b, name)
+	b = append(b, `{"name":"`...)
+	b = append(b, name...)
 	if cat != "" {
-		b = append(b, `,"cat":`...)
-		b = appendString(b, cat)
+		b = append(b, `","cat":"`...)
+		b = append(b, cat...)
 	}
-	b = append(b, `,"ph":`...)
-	b = appendString(b, ph)
-	b = append(b, `,"ts":`...)
-	b = appendFloat(b, ts)
+	b = append(b, `","ph":"`...)
+	b = append(b, ph...)
+	b = append(b, `","ts":`...)
+	b = appendMicros(b, at)
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(pid), 10)
 	b = append(b, `,"tid":`...)
@@ -228,7 +253,7 @@ func (cw *chromeWriter) metaSortIndex(pid, tid, index int) {
 }
 
 // span writes one async begin ("b") or end ("e") record of req's phase.
-func (cw *chromeWriter) span(name, ph string, ts float64, pid, tid, req int) {
+func (cw *chromeWriter) span(name, ph string, ts time.Duration, pid, tid, req int) {
 	cw.begin(name, reqCat, ph, ts, pid, tid)
 	cw.buf = append(cw.buf, `,"id":"`...)
 	cw.buf = strconv.AppendInt(cw.buf, int64(req), 10)
@@ -237,32 +262,31 @@ func (cw *chromeWriter) span(name, ph string, ts float64, pid, tid, req int) {
 }
 
 // closeSpan ends req's open phase, if any, at ts.
-func (cw *chromeWriter) closeSpan(req int, ts float64) {
-	st, ok := cw.reqs[req]
-	if !ok || st.phase == "" {
+func (cw *chromeWriter) closeSpan(req int, ts time.Duration) {
+	p, ok := cw.open[req]
+	if !ok {
 		return
 	}
-	cw.span(st.phase, "e", ts, st.pid, st.tid, req)
-	st.phase = ""
-	cw.reqs[req] = st
+	delete(cw.open, req)
+	cw.span(p.name, "e", ts, p.pid, p.tid, req)
 }
 
 // openSpan ends req's open phase and begins the named one at ts. After
 // req's terminal event the new phase ends at ts too.
-func (cw *chromeWriter) openSpan(req int, name string, ts float64, pid, tid int) {
+func (cw *chromeWriter) openSpan(req int, name string, ts time.Duration, pid, tid int) {
 	cw.closeSpan(req, ts)
 	cw.span(name, "b", ts, pid, tid, req)
-	if st := cw.reqs[req]; st.done {
+	if cw.done.has(req) {
 		cw.span(name, "e", ts, pid, tid, req)
 	} else {
-		cw.reqs[req] = reqState{phase: name, pid: pid, tid: tid}
+		cw.open[req] = openPhase{name: name, pid: pid, tid: tid}
 	}
 }
 
 // instant writes a thread-scoped instant record for ev. Its args hold
 // detail then req, encoding/json's sorted key order, and are omitted
 // when the event has neither.
-func (cw *chromeWriter) instant(ev *Event, ts float64, pid, tid int) {
+func (cw *chromeWriter) instant(ev *Event, ts time.Duration, pid, tid int) {
 	cw.begin(ev.Kind.String(), "", "i", ts, pid, tid)
 	cw.buf = append(cw.buf, `,"s":"t"`...)
 	hasReq, hasDetail := ev.Req != NoRequest, ev.Detail != ""
@@ -282,6 +306,34 @@ func (cw *chromeWriter) instant(ev *Event, ts float64, pid, tid int) {
 		cw.buf = append(cw.buf, '}')
 	}
 	cw.end()
+}
+
+// appendMicros appends at in microseconds as encoding/json encodes the
+// float64 at/1µs. Below 1e15 ns the nanosecond count's decimal form
+// (at most 15 significant digits) is that float's shortest
+// round-tripping form, so it is written directly; larger magnitudes go
+// through appendFloat.
+func appendMicros(b []byte, at time.Duration) []byte {
+	const exact = 1e15
+	if at <= -exact || at >= exact {
+		return appendFloat(b, float64(at)/float64(time.Microsecond))
+	}
+	if at < 0 {
+		b = append(b, '-')
+		at = -at
+	}
+	b = strconv.AppendInt(b, int64(at/time.Microsecond), 10)
+	frac := int(at % time.Microsecond)
+	if frac == 0 {
+		return b
+	}
+	digits := [3]byte{byte('0' + frac/100), byte('0' + frac/10%10), byte('0' + frac%10)}
+	n := 3
+	for digits[n-1] == '0' {
+		n--
+	}
+	b = append(b, '.')
+	return append(b, digits[:n]...)
 }
 
 // appendFloat appends f as encoding/json encodes a float64: the
