@@ -29,12 +29,16 @@ import (
 // reqCat is the async category grouping one request's phase spans.
 const reqCat = "request"
 
-// phase names for the request span state machine.
+// Phases of the request span state machine; phaseNone means no span
+// is open.
 const (
-	phaseQueue   = "queue"
-	phasePrefill = "prefill"
-	phaseDecode  = "decode"
+	phaseNone uint8 = iota
+	phaseQueue
+	phasePrefill
+	phaseDecode
 )
+
+var phaseNames = [...]string{phaseQueue: "queue", phasePrefill: "prefill", phaseDecode: "decode"}
 
 // traceTail closes the traceEvents array and the document.
 const traceTail = `],"displayTimeUnit":"ms"}` + "\n"
@@ -50,8 +54,7 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	}
 	cw := &chromeWriter{
 		bw:   bufio.NewWriterSize(w, 64<<10),
-		open: map[int]openPhase{},
-		done: doneSet{limit: o.EventCount()},
+		reqs: newReqStates(streams),
 		pid:  make([]int, len(streams)),
 		tid:  make([]int, len(streams)),
 	}
@@ -125,16 +128,23 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 			cw.instant(ev, ts, pid, tid)
 		}
 		if ev.Kind.Terminal() {
-			cw.done.add(ev.Req)
+			cw.reqs.get(ev.Req).done = true
 		}
 	})
 	// A request still open at end of trace (one that never reached a
 	// terminal event) would leave an unmatched "b"; close it at the
 	// trace's final timestamp, in request-ID order, to keep the file
 	// well-formed and the bytes deterministic.
-	stragglers := make([]int, 0, len(cw.open))
-	for req := range cw.open {
-		stragglers = append(stragglers, req)
+	var stragglers []int
+	for req, st := range cw.reqs.other {
+		if st.phase != phaseNone {
+			stragglers = append(stragglers, req)
+		}
+	}
+	for req, st := range cw.reqs.dense {
+		if st.phase != phaseNone {
+			stragglers = append(stragglers, req)
+		}
 	}
 	sort.Ints(stragglers)
 	for _, req := range stragglers {
@@ -149,41 +159,44 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	return cw.bw.Flush()
 }
 
-// openPhase is one request's open async span.
-type openPhase struct {
-	name     string
-	pid, tid int
+// reqState is one request's span state: its open phase and where it
+// runs, and whether the request has reached a terminal event.
+type reqState struct {
+	pid, tid int32
+	phase    uint8
+	done     bool
 }
 
-// doneSet holds the requests that reached a terminal event: a bitset
-// over IDs in [0, limit), which covers a trace numbered densely from
-// zero, and a map for any other ID.
-type doneSet struct {
-	limit int
-	bits  []uint64
-	other map[int]bool
+// reqStates holds every request's span state: in a slice indexed by
+// request ID up to the largest non-negative ID recorded (at most one
+// per event, and about the request count for a trace numbered from
+// zero), and in a map for any other ID.
+type reqStates struct {
+	dense []reqState
+	other map[int]*reqState
 }
 
-func (d *doneSet) add(req int) {
-	if req < 0 || req >= d.limit {
-		if d.other == nil {
-			d.other = map[int]bool{}
+func newReqStates(streams []*Stream) reqStates {
+	n, maxReq := 0, -1
+	for _, s := range streams {
+		n += len(s.events)
+		for i := range s.events {
+			maxReq = max(maxReq, s.events[i].Req)
 		}
-		d.other[req] = true
-		return
 	}
-	if w := req / 64; w >= len(d.bits) {
-		d.bits = append(d.bits, make([]uint64, w+1-len(d.bits))...)
-	}
-	d.bits[req/64] |= 1 << (req % 64)
+	return reqStates{dense: make([]reqState, min(maxReq+1, n)), other: map[int]*reqState{}}
 }
 
-func (d *doneSet) has(req int) bool {
-	if req < 0 || req >= d.limit {
-		return d.other[req]
+func (r *reqStates) get(req int) *reqState {
+	if req >= 0 && req < len(r.dense) {
+		return &r.dense[req]
 	}
-	w := req / 64
-	return w < len(d.bits) && d.bits[w]&(1<<(req%64)) != 0
+	st := r.other[req]
+	if st == nil {
+		st = &reqState{}
+		r.other[req] = st
+	}
+	return st
 }
 
 // chromeWriter streams trace-event records. Each record is built in
@@ -194,8 +207,7 @@ type chromeWriter struct {
 	buf      []byte
 	records  int
 	err      error
-	open     map[int]openPhase // each request's open phase, if any
-	done     doneSet
+	reqs     reqStates
 	pid, tid []int // per stream, indexed by registration order
 }
 
@@ -263,23 +275,27 @@ func (cw *chromeWriter) span(name, ph string, ts time.Duration, pid, tid, req in
 
 // closeSpan ends req's open phase, if any, at ts.
 func (cw *chromeWriter) closeSpan(req int, ts time.Duration) {
-	p, ok := cw.open[req]
-	if !ok {
-		return
-	}
-	delete(cw.open, req)
-	cw.span(p.name, "e", ts, p.pid, p.tid, req)
+	cw.closePhase(cw.reqs.get(req), req, ts)
 }
 
-// openSpan ends req's open phase and begins the named one at ts. After
+func (cw *chromeWriter) closePhase(st *reqState, req int, ts time.Duration) {
+	if st.phase == phaseNone {
+		return
+	}
+	cw.span(phaseNames[st.phase], "e", ts, int(st.pid), int(st.tid), req)
+	st.phase = phaseNone
+}
+
+// openSpan ends req's open phase and begins the given one at ts. After
 // req's terminal event the new phase ends at ts too.
-func (cw *chromeWriter) openSpan(req int, name string, ts time.Duration, pid, tid int) {
-	cw.closeSpan(req, ts)
-	cw.span(name, "b", ts, pid, tid, req)
-	if cw.done.has(req) {
-		cw.span(name, "e", ts, pid, tid, req)
+func (cw *chromeWriter) openSpan(req int, phase uint8, ts time.Duration, pid, tid int) {
+	st := cw.reqs.get(req)
+	cw.closePhase(st, req, ts)
+	cw.span(phaseNames[phase], "b", ts, pid, tid, req)
+	if st.done {
+		cw.span(phaseNames[phase], "e", ts, pid, tid, req)
 	} else {
-		cw.open[req] = openPhase{name: name, pid: pid, tid: tid}
+		*st = reqState{pid: int32(pid), tid: int32(tid), phase: phase}
 	}
 }
 

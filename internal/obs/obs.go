@@ -17,8 +17,15 @@
 // streams between stepping barriers. Streams are registered in
 // controller order (serial), so registration order, per-stream event
 // order, and therefore every exported byte are independent of the
-// worker count. Exports sort events by (time, stream registration
-// order, intra-stream index) — a total order with no ties.
+// worker count. Exports visit events in (time, stream registration
+// order, intra-stream index) order — a total order with no ties —
+// through a k-way merge of the streams, each first sorted stably by
+// time if it was appended out of order. The Chrome trace is streamed
+// from that merge one record at a time.
+//
+// Span conservation: every request that enters the system ends in
+// exactly one terminal event — finish, reject, drop, shared-hit, shed
+// or cloud-route — and no exported span of it ends after that event.
 package obs
 
 import (
@@ -35,7 +42,7 @@ type Kind uint8
 const (
 	// EvEnqueue: the request entered a replica's waiting queue
 	// (stamped at its arrival, which may precede the emitting
-	// iteration — exports re-sort by time).
+	// iteration — exports merge by time).
 	EvEnqueue Kind = iota
 	// EvAdmit: the scheduler moved the request into the running batch.
 	EvAdmit
@@ -140,8 +147,8 @@ func (k Kind) String() string {
 
 // Terminal reports whether the kind ends a request's span graph: a
 // request that entered the system finishes, is rejected, is dropped,
-// or is answered by the shared cache — exactly one of these, exactly
-// once.
+// is answered by the shared cache, is shed, or is served by the cloud
+// — exactly one of these, exactly once.
 func (k Kind) Terminal() bool {
 	switch k {
 	case EvFinish, EvReject, EvDrop, EvSharedHit, EvShed, EvCloudRoute:

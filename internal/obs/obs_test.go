@@ -292,14 +292,14 @@ func oracleChromeTrace(t testing.TB, o *Observer) []byte {
 		ts := usec(ev.At)
 		switch ev.Kind {
 		case EvEnqueue:
-			openSpan(ev.Req, phaseQueue, ts, pid, tid)
+			openSpan(ev.Req, "queue", ts, pid, tid)
 		case EvAdmit:
-			openSpan(ev.Req, phasePrefill, ts, pid, tid)
+			openSpan(ev.Req, "prefill", ts, pid, tid)
 		case EvPrefillDone:
-			openSpan(ev.Req, phaseDecode, ts, pid, tid)
+			openSpan(ev.Req, "decode", ts, pid, tid)
 		case EvPreempt:
 			instant(ev, ts, pid, tid)
-			openSpan(ev.Req, phaseQueue, ts, pid, tid)
+			openSpan(ev.Req, "queue", ts, pid, tid)
 		case EvFinish:
 			closeSpan(ev.Req, ts)
 		case EvReject, EvDrop, EvLost, EvShed, EvCloudRoute:
