@@ -11,14 +11,15 @@
 // written through a bufio.Writer. The bytes are exactly what
 // encoding/json would produce for the same records (its float format,
 // its HTML-safe string escaping, its sorted map keys, its trailing
-// newline), without building the document in memory.
+// newline), without building the document in memory. obs_test.go keeps
+// the encoding/json writer as the oracle FuzzChromeTraceBytes checks
+// this one against.
 package obs
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -96,17 +97,18 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	// open phase is an async "b" and every transition closes it with a
 	// matching "e" before opening the next, so per-(cat,id) depth never
 	// exceeds one and always returns to zero. A phase opened after the
-	// request's terminal event (a retried request bought by the cloud
-	// on a track registered before the replica that enqueued it at the
-	// same instant) closes at once, so no span outlives its terminal.
+	// request's terminal event closes at once, so no span outlives its
+	// terminal. That happens when a retried request is bought by the
+	// cloud, whose track is registered before the replicas, at the
+	// instant a replica enqueues it; and when an engine's iteration
+	// overshoots a crash that drops its requests.
 	var last time.Duration
 	o.merge(func(s *Stream, ev *Event) {
 		if cw.err != nil {
 			return
 		}
 		last = ev.At
-		pid, tid := cw.pid[s.order], cw.tid[s.order]
-		ts := ev.At
+		pid, tid, ts := cw.pid[s.order], cw.tid[s.order], ev.At
 		switch ev.Kind {
 		case EvEnqueue:
 			cw.openSpan(ev.Req, phaseQueue, ts, pid, tid)
@@ -325,14 +327,15 @@ func (cw *chromeWriter) instant(ev *Event, ts time.Duration, pid, tid int) {
 }
 
 // appendMicros appends at in microseconds as encoding/json encodes the
-// float64 at/1µs. Below 1e15 ns the nanosecond count's decimal form
-// (at most 15 significant digits) is that float's shortest
-// round-tripping form, so it is written directly; larger magnitudes go
-// through appendFloat.
+// float64 at/1µs: its shortest round-tripping form, in 'f' notation
+// (encoding/json switches to 'e' only outside [1e-6, 1e21), which a
+// whole number of nanoseconds never reaches). Below 1e15 ns the
+// nanosecond count's decimal form has at most 15 significant digits,
+// so it is that shortest form and is written directly.
 func appendMicros(b []byte, at time.Duration) []byte {
 	const exact = 1e15
 	if at <= -exact || at >= exact {
-		return appendFloat(b, float64(at)/float64(time.Microsecond))
+		return strconv.AppendFloat(b, float64(at)/float64(time.Microsecond), 'f', -1, 64)
 	}
 	if at < 0 {
 		b = append(b, '-')
@@ -350,25 +353,6 @@ func appendMicros(b []byte, at time.Duration) []byte {
 	}
 	b = append(b, '.')
 	return append(b, digits[:n]...)
-}
-
-// appendFloat appends f as encoding/json encodes a float64: the
-// shortest representation, in 'f' form except outside [1e-6, 1e21),
-// where it is 'e' form with the exponent unpadded.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 becomes e-9.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 const hexDigits = "0123456789abcdef"
