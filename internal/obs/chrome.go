@@ -55,7 +55,7 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	}
 	cw := &chromeWriter{
 		bw:   bufio.NewWriterSize(w, 64<<10),
-		reqs: newReqStates(streams),
+		reqs: map[int]reqState{},
 		pid:  make([]int, len(streams)),
 		tid:  make([]int, len(streams)),
 	}
@@ -130,7 +130,9 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 			cw.instant(ev, ts, pid, tid)
 		}
 		if ev.Kind.Terminal() {
-			cw.reqs.get(ev.Req).done = true
+			st := cw.reqs[ev.Req]
+			st.done = true
+			cw.reqs[ev.Req] = st
 		}
 	})
 	// A request still open at end of trace (one that never reached a
@@ -138,12 +140,7 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	// trace's final timestamp, in request-ID order, to keep the file
 	// well-formed and the bytes deterministic.
 	var stragglers []int
-	for req, st := range cw.reqs.other {
-		if st.phase != phaseNone {
-			stragglers = append(stragglers, req)
-		}
-	}
-	for req, st := range cw.reqs.dense {
+	for req, st := range cw.reqs {
 		if st.phase != phaseNone {
 			stragglers = append(stragglers, req)
 		}
@@ -164,41 +161,9 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 // reqState is one request's span state: its open phase and where it
 // runs, and whether the request has reached a terminal event.
 type reqState struct {
-	pid, tid int32
+	pid, tid int
 	phase    uint8
 	done     bool
-}
-
-// reqStates holds every request's span state: in a slice indexed by
-// request ID up to the largest non-negative ID recorded (at most one
-// per event, and about the request count for a trace numbered from
-// zero), and in a map for any other ID.
-type reqStates struct {
-	dense []reqState
-	other map[int]*reqState
-}
-
-func newReqStates(streams []*Stream) reqStates {
-	n, maxReq := 0, -1
-	for _, s := range streams {
-		n += len(s.events)
-		for i := range s.events {
-			maxReq = max(maxReq, s.events[i].Req)
-		}
-	}
-	return reqStates{dense: make([]reqState, min(maxReq+1, n)), other: map[int]*reqState{}}
-}
-
-func (r *reqStates) get(req int) *reqState {
-	if req >= 0 && req < len(r.dense) {
-		return &r.dense[req]
-	}
-	st := r.other[req]
-	if st == nil {
-		st = &reqState{}
-		r.other[req] = st
-	}
-	return st
 }
 
 // chromeWriter streams trace-event records. Each record is built in
@@ -209,7 +174,7 @@ type chromeWriter struct {
 	buf      []byte
 	records  int
 	err      error
-	reqs     reqStates
+	reqs     map[int]reqState
 	pid, tid []int // per stream, indexed by registration order
 }
 
@@ -277,28 +242,25 @@ func (cw *chromeWriter) span(name, ph string, ts time.Duration, pid, tid, req in
 
 // closeSpan ends req's open phase, if any, at ts.
 func (cw *chromeWriter) closeSpan(req int, ts time.Duration) {
-	cw.closePhase(cw.reqs.get(req), req, ts)
-}
-
-func (cw *chromeWriter) closePhase(st *reqState, req int, ts time.Duration) {
+	st := cw.reqs[req]
 	if st.phase == phaseNone {
 		return
 	}
-	cw.span(phaseNames[st.phase], "e", ts, int(st.pid), int(st.tid), req)
+	cw.span(phaseNames[st.phase], "e", ts, st.pid, st.tid, req)
 	st.phase = phaseNone
+	cw.reqs[req] = st
 }
 
 // openSpan ends req's open phase and begins the given one at ts. After
 // req's terminal event the new phase ends at ts too.
 func (cw *chromeWriter) openSpan(req int, phase uint8, ts time.Duration, pid, tid int) {
-	st := cw.reqs.get(req)
-	cw.closePhase(st, req, ts)
+	cw.closeSpan(req, ts)
 	cw.span(phaseNames[phase], "b", ts, pid, tid, req)
-	if st.done {
+	if cw.reqs[req].done {
 		cw.span(phaseNames[phase], "e", ts, pid, tid, req)
-	} else {
-		*st = reqState{pid: int32(pid), tid: int32(tid), phase: phase}
+		return
 	}
+	cw.reqs[req] = reqState{pid: pid, tid: tid, phase: phase}
 }
 
 // instant writes a thread-scoped instant record for ev. Its args hold
@@ -329,30 +291,9 @@ func (cw *chromeWriter) instant(ev *Event, ts time.Duration, pid, tid int) {
 // appendMicros appends at in microseconds as encoding/json encodes the
 // float64 at/1µs: its shortest round-tripping form, in 'f' notation
 // (encoding/json switches to 'e' only outside [1e-6, 1e21), which a
-// whole number of nanoseconds never reaches). Below 1e15 ns the
-// nanosecond count's decimal form has at most 15 significant digits,
-// so it is that shortest form and is written directly.
+// whole number of nanoseconds never reaches).
 func appendMicros(b []byte, at time.Duration) []byte {
-	const exact = 1e15
-	if at <= -exact || at >= exact {
-		return strconv.AppendFloat(b, float64(at)/float64(time.Microsecond), 'f', -1, 64)
-	}
-	if at < 0 {
-		b = append(b, '-')
-		at = -at
-	}
-	b = strconv.AppendInt(b, int64(at/time.Microsecond), 10)
-	frac := int(at % time.Microsecond)
-	if frac == 0 {
-		return b
-	}
-	digits := [3]byte{byte('0' + frac/100), byte('0' + frac/10%10), byte('0' + frac%10)}
-	n := 3
-	for digits[n-1] == '0' {
-		n--
-	}
-	b = append(b, '.')
-	return append(b, digits[:n]...)
+	return strconv.AppendFloat(b, float64(at)/float64(time.Microsecond), 'f', -1, 64)
 }
 
 const hexDigits = "0123456789abcdef"

@@ -389,11 +389,6 @@ func TestChromeTraceMatchesOracle(t *testing.T) {
 	b.Event(-5, EvCrash, NoRequest, "") // -0.005 µs
 	c.Event(time.Duration(1<<62), EvCloudRoute, 2, "over\"flow\n")
 	c.Event(7, Kind(200), 3, "\x01\t")
-	// Either side of 1e15 ns, where timestamps switch from the
-	// nanosecond decimal form to float formatting.
-	for _, at := range []time.Duration{1e15 - 1, 1e15, 1e15 + 1, -1e15 + 1, -1e15, -1e15 - 1} {
-		c.Event(at, EvRoute, 4, "")
-	}
 	checkOracle(t, o)
 }
 
